@@ -45,7 +45,7 @@ module Budget = Inl_diag.Budget
 module Faults = Inl_diag.Faults
 module Stats = Inl_diag.Stats
 module Omega = Inl_presburger.Omega
-module Cache = Inl_presburger.Cache
+module Cache = Inl_diag.Memo
 module Pool = Inl_parallel.Pool
 
 type context = {

@@ -61,21 +61,18 @@ let make_cache () = { lock = Mutex.create (); tbl = Hashtbl.create 256 }
 
 (* ---- the process-wide verdict memo ----
 
-   Second lookup tier behind the per-search [cache]: a two-generation
-   table mirroring the Omega projection cache, keyed on a string
-   rendering of exactly what [classify_key] reads — the dependence (its
-   endpoints, kind, level and interval vector) and the candidate's rows
-   at the new positions of the dependence's common loops, plus the
-   transformed syntactic order.  A per-search cache dies with its search;
+   Second lookup tier behind the per-search [cache]: a process-wide
+   {!Inl_diag.Memo} table, keyed on a string rendering of exactly what
+   [classify_key] reads — the dependence (its endpoints, kind, level and
+   interval vector) and the candidate's rows at the new positions of the
+   dependence's common loops, plus the transformed syntactic order.  A per-search cache dies with its search;
    this table survives across searches and passes, so a re-search of a
    known program classifies by lookup.  Verdict strings are deterministic
    functions of the key, so sharing across worker domains preserves the
    byte-identity contract. *)
 
-let verdict_memo : dep_verdict Memo.t = Memo.create ~max_entries:8192 ()
+let verdict_memo : dep_verdict Memo.t = Memo.create ~name:"legality memo" ~max_entries:8192 ()
 
-let set_memo_enabled b = Memo.set_enabled verdict_memo b
-let memo_enabled () = Memo.enabled verdict_memo
 let memo_stats () = Memo.stats verdict_memo
 let clear_memo () = Memo.clear verdict_memo
 

@@ -4,10 +4,10 @@ module Faults = Inl_diag.Faults
 module Stats = Inl_diag.Stats
 module Retry = Inl_diag.Retry
 module Sigint = Inl_diag.Sigint
+module Memo = Inl_diag.Memo
 module Omega = Inl_presburger.Omega
 module Pool = Inl_parallel.Pool
 module Search = Inl_search.Search
-module Reuse = Inl_reuse.Reuse
 module Snapshot = Inl_serve.Snapshot
 module Fcorpus = Inl_fuzz.Corpus
 module Oracle = Inl_fuzz.Oracle
@@ -117,16 +117,6 @@ let load_checkpoint cfg =
 
 (* ---- per-kernel execution ---- *)
 
-(* Every attempt starts from cold process-wide caches: the record then
-   measures the kernel itself (not batch history), and a resumed run
-   reproduces the remaining records byte-identically.  This also makes
-   the retry rung independent of wherever the first attempt died. *)
-let clear_process_state () =
-  Omega.clear_cache ();
-  Inl.Legality.clear_memo ();
-  Reuse.clear_memo ();
-  Search.clear_process_memos ()
-
 type attempt_result =
   | Ran of Search.outcome
   | Unreadable of string
@@ -171,7 +161,12 @@ let run_kernel cfg (e : Manifest.entry) : Record.t =
     | Some spec -> ( match Faults.parse spec with Ok f -> f | Error _ -> base_faults)
   in
   let attempt ~fm_work ~timeout_ms:_ =
-    clear_process_state ();
+    (* every attempt starts from cold process-wide memos (all of them,
+       through the registry): the record then measures the kernel itself
+       (not batch history), a resumed run reproduces the remaining
+       records byte-identically, and the retry rung is independent of
+       wherever the first attempt died *)
+    Memo.clear_all ();
     (* per attempt, so injected failures fire on the same schedule on
        both rungs *)
     Faults.install faults;

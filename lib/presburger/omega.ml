@@ -2,6 +2,7 @@ module Mpz = Inl_num.Mpz
 module Budget = Inl_diag.Budget
 module Faults = Inl_diag.Faults
 module Watchdog = Inl_diag.Watchdog
+module Memo = Inl_diag.Memo
 
 exception Blowup of string
 
@@ -20,20 +21,39 @@ type ctx = {
   projections : int Atomic.t;
       (* bounded by [Budget.max_projections] so a pathological analysis
          cannot spin through an unbounded number of cheap projections *)
-  cache : Cache.t option;
 }
+
+(* The projection cache key: the canonical system, the sorted answer
+   variables kept, and the full budget — so a query that would [Blowup]
+   under a smaller budget never hits an entry computed under a larger
+   one. *)
+module Key = struct
+  type t = { sys : System.t; kept : string list; budget : Budget.t }
+
+  let equal a b =
+    System.equal a.sys b.sys
+    && List.equal String.equal a.kept b.kept
+    (* Budget.t is a flat record of ints, so structural comparison and
+       [Hashtbl.hash] are exact. *)
+    && a.budget = b.budget
+
+  let hash k =
+    let h = System.hash k.sys in
+    let h = List.fold_left (fun acc v -> (acc * 31) + Hashtbl.hash v) h k.kept in
+    (h * 31) + Hashtbl.hash k.budget
+end
+
+module Projections = Memo.Make (Key)
 
 (* One shared query cache: canonical keys make entries valid across
    analyses, so sharing maximizes reuse (completion re-checks the same
-   dependence systems for every candidate matrix). *)
-let shared_cache = Cache.create ()
-let cache_enabled_flag = Atomic.make true
-let set_cache_enabled b = Atomic.set cache_enabled_flag b
-let cache_enabled () = Atomic.get cache_enabled_flag
-let cache_stats () = Cache.stats shared_cache
-let clear_cache () = Cache.clear shared_cache
-let cache_snapshot () = Cache.export shared_cache
-let cache_restore payload = Cache.import shared_cache payload
+   dependence systems for every candidate matrix).  Failed (raising)
+   projections are never stored. *)
+let shared_cache : System.t list Projections.t = Projections.create ~name:"projection cache" ()
+let cache_stats () = Projections.stats shared_cache
+let clear_cache () = Projections.clear shared_cache
+let cache_snapshot () = Projections.export shared_cache
+let cache_restore payload = Projections.import shared_cache payload
 
 (* Cumulative entry-point counters for observability (--stats); distinct
    from the per-ctx budget counter. *)
@@ -46,12 +66,11 @@ let reset_solver_calls () =
   Atomic.set sat_calls 0;
   Atomic.set project_calls 0
 
-let new_analysis ?budget ?(use_cache = true) () =
+let new_analysis ?budget () =
   Faults.reset_counters ();
   {
     budget = (match budget with Some b -> b | None -> get_default_budget ());
     projections = Atomic.make 0;
-    cache = (if use_cache && cache_enabled () then Some shared_cache else None);
   }
 
 let wildcard_prefix = "$w"
@@ -352,7 +371,7 @@ let project_run ~budget sys ~keep =
 
 (* Resolve the effective solver state for an entry point: an explicit
    [?ctx] (its budget overridable by [?budget]), else an ephemeral context
-   on the default budget and the shared cache. *)
+   on the default budget. *)
 let resolve ?ctx ?budget () =
   match (ctx, budget) with
   | Some c, None -> c
@@ -381,22 +400,16 @@ let project ?ctx ?budget sys ~keep =
      canonicalization only pre-folds the first.) *)
   match System.canonicalize sys with
   | None -> []
-  | Some csys -> (
-      match ctx.cache with
-      | Some cache when not (Faults.active ()) -> (
-          (* fault injection bypasses the cache entirely: injected
-             failures must fire on their exact schedule, and partial runs
-             under caps must not be masked by earlier successes *)
-          let kept =
-            List.filter (fun v -> keep v && not (is_wildcard v)) (System.vars csys)
-          in
-          match Cache.find cache ~sys:csys ~kept ~budget:ctx.budget with
-          | Some r -> r
-          | None ->
-              let r = project_run ~budget:ctx.budget csys ~keep in
-              Cache.add cache ~sys:csys ~kept ~budget:ctx.budget r;
-              r)
-      | _ -> project_run ~budget:ctx.budget csys ~keep)
+  | Some csys ->
+      (* fault injection bypasses the cache entirely: injected failures
+         must fire on their exact schedule, and partial runs under caps
+         must not be masked by earlier successes *)
+      if Faults.active () then project_run ~budget:ctx.budget csys ~keep
+      else
+        let kept = List.filter (fun v -> keep v && not (is_wildcard v)) (System.vars csys) in
+        Projections.memo shared_cache
+          { Key.sys = csys; kept; budget = ctx.budget }
+          (fun () -> project_run ~budget:ctx.budget csys ~keep)
 
 let satisfiable ?ctx ?budget sys =
   (* with nothing kept, every variable is a victim and equality

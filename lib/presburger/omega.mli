@@ -30,19 +30,17 @@ val get_default_budget : unit -> Budget.t
     sets it from [--budget] / [INL_FM_BUDGET]. *)
 
 type ctx
-(** Per-analysis solver state: the effective budget, the projection
+(** Per-analysis solver state: the effective budget and the projection
     counter it meters (no longer a process global — a forgotten reset
-    cannot leak consumption into the next run), and the query cache to
-    consult.  A [ctx] is safe to share across worker domains: the counter
-    is atomic and the cache is internally synchronized. *)
+    cannot leak consumption into the next run).  A [ctx] is safe to
+    share across worker domains: the counter is atomic and the shared
+    query cache is internally synchronized. *)
 
-val new_analysis : ?budget:Budget.t -> ?use_cache:bool -> unit -> ctx
-(** Fresh per-analysis state (budget defaults to the process default,
-    [use_cache] defaults to [true] and is further gated by
-    {!set_cache_enabled}); also resets the fault-injection counters so
-    injected failures are deterministic per run.  Entry points called
-    without [?ctx] run on an ephemeral context, so no global protocol
-    exists to forget. *)
+val new_analysis : ?budget:Budget.t -> unit -> ctx
+(** Fresh per-analysis state (budget defaults to the process default);
+    also resets the fault-injection counters so injected failures are
+    deterministic per run.  Entry points called without [?ctx] run on an
+    ephemeral context, so no global protocol exists to forget. *)
 
 val satisfiable : ?ctx:ctx -> ?budget:Budget.t -> System.t -> bool
 
@@ -68,26 +66,37 @@ val implies : ?ctx:ctx -> ?budget:Budget.t -> System.t -> Constr.t -> bool
 
 (** {2 Shared query cache and counters}
 
-    One process-wide {!Cache.t} keyed on canonical systems, so entries
-    stay valid across analyses.  Fault injection ({!Inl_diag.Faults})
-    bypasses it entirely — injected failures fire on their exact schedule
-    regardless of what is cached. *)
+    One process-wide {!Inl_diag.Memo} table, registered as
+    ["projection cache"] and keyed on (canonical system, sorted kept
+    variables, budget), so entries stay valid across analyses and a hit
+    is bit-identical to a recomputation.  [--no-cache]
+    ({!Inl_diag.Memo.set_enabled}) turns it off with every other memo.
+    Fault injection ({!Inl_diag.Faults}) bypasses it entirely — injected
+    failures fire on their exact schedule regardless of what is
+    cached. *)
 
-val set_cache_enabled : bool -> unit
-(** Process-wide kill switch ([--no-cache]); on by default. *)
+module Key : sig
+  type t = { sys : System.t; kept : string list; budget : Budget.t }
 
-val cache_enabled : unit -> bool
-val cache_stats : unit -> Cache.stats
+  include Hashtbl.HashedType with type t := t
+end
+(** The projection cache key.  [sys] must be canonical
+    ({!System.canonicalize}) and [kept] sorted for hits to occur. *)
+
+module Projections : Inl_diag.Memo.S with type key = Key.t
+(** The table module of the projection cache. *)
+
+val cache_stats : unit -> Inl_diag.Memo.stats
 val clear_cache : unit -> unit
 
 val cache_snapshot : unit -> string
-(** {!Cache.export} of the process-wide projection cache — the payload
-    the serve daemon checkpoints so the BENCH_solver 3x warm-cache win
+(** {!Inl_diag.Memo.S.export} of the projection cache — the payload the
+    serve daemon checkpoints so the BENCH_solver 3x warm-cache win
     survives a restart. *)
 
 val cache_restore : string -> (int, string) result
-(** {!Cache.import} into the process-wide cache; [Ok n] is the number of
-    entries restored. *)
+(** {!Inl_diag.Memo.S.import} into the projection cache; [Ok n] is the
+    number of entries restored ([Ok 0] while memos are disabled). *)
 
 val solver_calls : unit -> int * int
 (** Cumulative [(satisfiable, project)] entry-point call counts since

@@ -15,7 +15,7 @@ module Dep = Inl_depend.Dep
 module Pool = Inl_parallel.Pool
 module Omega = Inl_presburger.Omega
 module Reuse = Inl_reuse.Reuse
-module Memo = Inl_reuse.Memo
+module Memo = Inl_diag.Memo
 
 type config = {
   beam : int;
@@ -168,22 +168,19 @@ let evaluate (env : Inl.Legality.env) (lcache : Inl.Legality.cache) ~extendable 
    memoized too: a prefix that fails against the program shape fails for
    every candidate sharing it. *)
 
-let pipe_memo : (Mat.t * Layout.t, string) result Memo.t = Memo.create ~max_entries:8192 ()
-let complete_memo : (Mat.t, string) result Memo.t = Memo.create ~max_entries:1024 ()
+let pipe_memo : (Mat.t * Layout.t, string) result Memo.t =
+  Memo.create ~name:"steps memo" ~max_entries:8192 ()
+
+let complete_memo : (Mat.t, string) result Memo.t =
+  Memo.create ~name:"completion memo" ~max_entries:1024 ()
 
 (* Front tier of the reuse-signature memo: keyed on the raw candidate
    matrix (cheap to render) instead of the canonical per-statement rows
    (whose computation is most of a signature lookup's cost).  Misses fall
    through to Inl_reuse's canonical memo, which still collapses
    locality-equivalent matrices. *)
-let sig_memo : Reuse.t Memo.t = Memo.create ~max_entries:4096 ()
+let sig_memo : Reuse.t Memo.t = Memo.create ~name:"signature memo" ~max_entries:4096 ()
 
-let set_mat_cache_enabled b =
-  Memo.set_enabled pipe_memo b;
-  Memo.set_enabled complete_memo b;
-  Memo.set_enabled sig_memo b
-
-let mat_cache_enabled () = Memo.enabled pipe_memo
 let mat_cache_stats () = Memo.stats pipe_memo
 let completion_cache_stats () = Memo.stats complete_memo
 
@@ -228,28 +225,13 @@ let materialize_steps ~prog_key (ctx : Inl.context) (steps : (string * string) l
    so a hit is bit-identical to a recompute and the tables are safe to
    share across worker domains and across searches — a re-search of a
    known program (the benchmark's second pass, the serve daemon) skips
-   straight past interpretation.  Failed simulations are never stored.
-   Disabled together with the other caches by --no-cache. *)
-let sim_memo : Cachesim.stats Memo.t = Memo.create ~max_entries:512 ()
-let arrays_memo : (string * int list) list Memo.t = Memo.create ~max_entries:256 ()
+   straight past interpretation.  Failed simulations are never stored. *)
+let sim_memo : Cachesim.stats Memo.t = Memo.create ~name:"trace memo" ~max_entries:512 ()
 
-let set_trace_cache_enabled b =
-  Memo.set_enabled sim_memo b;
-  Memo.set_enabled arrays_memo b
+let arrays_memo : (string * int list) list Memo.t =
+  Memo.create ~name:"extents memo" ~max_entries:256 ()
 
-(* Forget every process-wide search memo (materialization, completion,
-   signature front tier, simulation, extents).  The corpus runner calls
-   this at each kernel boundary so every per-kernel record is measured
-   against cold caches — a resumed run that skips completed kernels then
-   reproduces the remaining records byte-identically. *)
-let clear_process_memos () =
-  Memo.clear pipe_memo;
-  Memo.clear complete_memo;
-  Memo.clear sig_memo;
-  Memo.clear sim_memo;
-  Memo.clear arrays_memo
-
-let trace_cache_enabled () = Memo.enabled sim_memo
+let clear_process_memos = Memo.clear_all
 let trace_cache_stats () = Memo.stats sim_memo
 
 let params_key params =

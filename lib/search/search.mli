@@ -127,36 +127,17 @@ val recipe_line : Tf.t -> string
     ["identity"] for the empty recipe. *)
 
 val clear_process_memos : unit -> unit
-(** Forget every process-wide search memo (step-prefix materialization,
-    completion results, signature front tier, simulation results,
-    measured extents).  The corpus runner clears them — together with
-    the Omega projection cache and the legality/reuse memos — at each
-    kernel boundary, so per-kernel records are cold-cache measurements
-    independent of batch order and of where a resumed run restarted. *)
+(** {!Inl_diag.Memo.clear_all}: forget every process-wide memo — the
+    search's own (step-prefix materialization, completion results,
+    signature front tier, simulation results, measured extents) and
+    every other registered table (Omega projections, legality verdicts,
+    reuse signatures). *)
 
-val set_trace_cache_enabled : bool -> unit
-(** Enable/disable the process-wide trace-tier memos (simulation results
-    and measured array extents, keyed on rendered program text plus the
-    full simulation geometry).  Results are identical either way —
-    [--no-cache] turns them off together with the Omega projection cache
-    for benchmarking and debugging. *)
+val trace_cache_stats : unit -> Inl_diag.Memo.stats
+(** Counters of the simulation memo (["trace memo"]). *)
 
-val trace_cache_enabled : unit -> bool
+val mat_cache_stats : unit -> Inl_diag.Memo.stats
+(** Counters of the step-prefix pipeline memo (["steps memo"]). *)
 
-val trace_cache_stats : unit -> Inl_reuse.Memo.stats
-(** Counters of the simulation memo, for [--stats]. *)
-
-val set_mat_cache_enabled : bool -> unit
-(** Enable/disable the process-wide materialization memos: the
-    step-prefix pipeline memo (one composition step per candidate
-    instead of the whole chain) and the completion-result memo.  Both
-    compute bit-identical matrices either way — [--no-cache] turns them
-    off with the other caches. *)
-
-val mat_cache_enabled : unit -> bool
-
-val mat_cache_stats : unit -> Inl_reuse.Memo.stats
-(** Counters of the step-prefix pipeline memo. *)
-
-val completion_cache_stats : unit -> Inl_reuse.Memo.stats
-(** Counters of the completion-result memo. *)
+val completion_cache_stats : unit -> Inl_diag.Memo.stats
+(** Counters of the completion-result memo (["completion memo"]). *)

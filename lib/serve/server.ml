@@ -35,7 +35,7 @@ module Stats = Inl_diag.Stats
 module Watchdog = Inl_diag.Watchdog
 module Retry = Inl_diag.Retry
 module Omega = Inl_presburger.Omega
-module Cache = Inl_presburger.Cache
+module Memo = Inl_diag.Memo
 module Pool = Inl_parallel.Pool
 module Verify = Inl_verify.Verify
 module Search = Inl_search.Search
@@ -153,9 +153,12 @@ let create config =
               methods = Hashtbl.create 8;
             })
 
+(* A --no-cache session restored nothing, so it must not overwrite the
+   snapshot with its empty cache either. *)
 let checkpoint t =
   match t.config.state_dir with
   | None -> ()
+  | Some _ when not (Memo.enabled ()) -> ()
   | Some dir -> (
       t.since_checkpoint <- 0;
       match
@@ -378,10 +381,10 @@ let stats_json t =
       ( "cache",
         Json.Obj
           [
-            ("hits", Json.Int cs.Cache.hits);
-            ("misses", Json.Int cs.Cache.misses);
-            ("entries", Json.Int cs.Cache.entries);
-            ("warm", Json.Bool (cs.Cache.hits > 0));
+            ("hits", Json.Int cs.Memo.hits);
+            ("misses", Json.Int cs.Memo.misses);
+            ("entries", Json.Int cs.Memo.entries);
+            ("warm", Json.Bool (cs.Memo.hits > 0));
           ] );
       ( "snapshot",
         Json.Obj
@@ -389,6 +392,18 @@ let stats_json t =
             ("restored_entries", Json.Int t.restored_entries);
             ("checkpoints", Json.Int t.checkpoints);
           ] );
+      ( "memos",
+        Json.Obj
+          (List.map
+             (fun (name, (s : Memo.stats)) ->
+               ( name,
+                 Json.Obj
+                   [
+                     ("hits", Json.Int s.hits);
+                     ("misses", Json.Int s.misses);
+                     ("entries", Json.Int s.entries);
+                   ] ))
+             (Memo.all_stats ())) );
       ("pool", Json.Obj [ ("jobs", Json.Int (Pool.jobs ())) ]);
       ("methods", Json.Obj methods);
     ]
@@ -483,8 +498,8 @@ let guarded t ~id ~meth req (handler : unit -> hresult) =
                 (Json.Obj
                    [
                      ("project_calls", Json.Int (proj1 - proj0));
-                     ("cache_hits", Json.Int (cs1.Cache.hits - cs0.Cache.hits));
-                     ("cache_misses", Json.Int (cs1.Cache.misses - cs0.Cache.misses));
+                     ("cache_hits", Json.Int (cs1.Memo.hits - cs0.Memo.hits));
+                     ("cache_misses", Json.Int (cs1.Memo.misses - cs0.Memo.misses));
                      ( "counters",
                        Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) counter_deltas) );
                    ])

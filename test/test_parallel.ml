@@ -18,7 +18,8 @@ module Linexpr = Inl_presburger.Linexpr
 module Constr = Inl_presburger.Constr
 module System = Inl_presburger.System
 module Omega = Inl_presburger.Omega
-module Cache = Inl_presburger.Cache
+module Memo = Inl_diag.Memo
+module Projections = Omega.Projections
 module Pool = Inl_parallel.Pool
 module Px = Inl_kernels.Paper_examples
 module Dep = Inl_depend.Dep
@@ -98,29 +99,29 @@ let simple_sys k =
     [ Constr.ge (le [ (1, "x") ] (-k)); Constr.ge (le [ (-1, "x") ] (k + 5)) ]
 
 let test_cache_counters () =
-  let c = Cache.create ~max_entries:2 () in
+  (* the projection cache's own functor instance and key *)
+  let c = Projections.create ~name:"test projections" ~max_entries:2 () in
   let budget = Inl_diag.Budget.default in
-  let kept = [ "x" ] in
-  Alcotest.(check bool) "initial miss" true (Cache.find c ~sys:(simple_sys 0) ~kept ~budget = None);
-  Cache.add c ~sys:(simple_sys 0) ~kept ~budget [ simple_sys 0 ];
-  (match Cache.find c ~sys:(simple_sys 0) ~kept ~budget with
+  let key ?(budget = budget) k = { Omega.Key.sys = simple_sys k; kept = [ "x" ]; budget } in
+  Alcotest.(check bool) "initial miss" true (Projections.find c (key 0) = None);
+  Projections.add c (key 0) [ simple_sys 0 ];
+  (match Projections.find c (key 0) with
   | Some [ s ] -> Alcotest.(check bool) "hit returns stored" true (System.equal s (simple_sys 0))
   | _ -> Alcotest.fail "expected a hit");
   (* same system under a different budget is a different key *)
   let tight = Inl_diag.Budget.with_fm_work budget 7 in
-  Alcotest.(check bool) "budget in key" true
-    (Cache.find c ~sys:(simple_sys 0) ~kept ~budget:tight = None);
+  Alcotest.(check bool) "budget in key" true (Projections.find c (key ~budget:tight 0) = None);
   (* overflow two generations and observe evictions *)
   for k = 1 to 6 do
-    Cache.add c ~sys:(simple_sys k) ~kept ~budget [ simple_sys k ]
+    Projections.add c (key k) [ simple_sys k ]
   done;
-  let s = Cache.stats c in
-  Alcotest.(check bool) "evictions counted" true (s.Cache.evictions > 0);
-  Alcotest.(check bool) "bounded" true (s.Cache.entries <= 4);
-  Cache.clear c;
-  let s = Cache.stats c in
-  Alcotest.(check int) "clear zeroes entries" 0 s.Cache.entries;
-  Alcotest.(check int) "clear zeroes hits" 0 s.Cache.hits
+  let s = Projections.stats c in
+  Alcotest.(check bool) "evictions counted" true (s.Memo.evictions > 0);
+  Alcotest.(check bool) "bounded" true (s.Memo.entries <= 4);
+  Projections.clear c;
+  let s = Projections.stats c in
+  Alcotest.(check int) "clear zeroes entries" 0 s.Memo.entries;
+  Alcotest.(check int) "clear zeroes hits" 0 s.Memo.hits
 
 (* ---- QCheck properties ---- *)
 
@@ -178,15 +179,20 @@ let props =
         let sys = boxed sys in
         let keep v = v = "x" || v = "y" in
         Omega.clear_cache ();
-        let on = Omega.new_analysis ~use_cache:true () in
-        let off = Omega.new_analysis ~use_cache:false () in
+        let ctx = Omega.new_analysis () in
         Omega.reset_fresh_names ();
-        let p_fill = Omega.project ~ctx:on sys ~keep in
-        let p_hit = Omega.project ~ctx:on sys ~keep in
-        Omega.reset_fresh_names ();
-        let p_off = Omega.project ~ctx:off sys ~keep in
-        let sat_on = Omega.satisfiable ~ctx:on sys in
-        let sat_off = Omega.satisfiable ~ctx:off sys in
+        let p_fill = Omega.project ~ctx sys ~keep in
+        let p_hit = Omega.project ~ctx sys ~keep in
+        let sat_on = Omega.satisfiable ~ctx sys in
+        Memo.set_enabled false;
+        let p_off, sat_off =
+          Fun.protect
+            ~finally:(fun () -> Memo.set_enabled true)
+            (fun () ->
+              Omega.reset_fresh_names ();
+              let p = Omega.project ~ctx sys ~keep in
+              (p, Omega.satisfiable ~ctx sys))
+        in
         p_fill = p_off && p_hit = p_off && sat_on = sat_off);
   ]
 
@@ -222,14 +228,13 @@ let render_all () =
 
 let test_cache_on_off_byte_equal () =
   let go enabled =
-    Omega.set_cache_enabled enabled;
+    Memo.set_enabled enabled;
     Omega.clear_cache ();
     render_all ()
   in
   let off = go false in
   let cold = go true in
   let warm = go true in
-  Omega.set_cache_enabled true;
   Alcotest.(check string) "cache off = cache on (cold)" off cold;
   Alcotest.(check string) "cache off = cache on (warm)" off warm
 

@@ -7,7 +7,7 @@
    spatial/streaming distinction, and the process-wide signature memo. *)
 
 module Reuse = Inl_reuse.Reuse
-module Memo = Inl_reuse.Memo
+module Memo = Inl_diag.Memo
 module Px = Inl_kernels.Paper_examples
 module Cachesim = Inl_cachesim.Cachesim
 module Tf = Inl_fuzz.Tf
@@ -257,7 +257,6 @@ let test_budget_truncation () =
 
 let test_signature_memo () =
   Reuse.clear_memo ();
-  Reuse.set_memo_enabled true;
   let compute () = snd (identity_sig Px.cholesky_kji) in
   let s1 = compute () in
   let before = (Reuse.memo_stats ()).Memo.hits in
@@ -275,30 +274,39 @@ let test_memo_two_generations () =
      filling it retires the old one wholesale, so an entry that goes
      unused for two generations is evicted while anything hit in the
      meantime is promoted and survives *)
-  let t : int Memo.t = Memo.create ~max_entries:2 () in
+  let t : int Memo.t = Memo.create ~name:"test two generations" ~max_entries:2 () in
   Memo.add t "a" 1;
   Memo.add t "b" 2 (* young full -> {a,b} becomes the old generation *);
   Alcotest.(check (option int)) "old-generation hit" (Some 1) (Memo.find t "a");
-  (* the hit promoted "a" into the young generation *)
-  Memo.add t "c" 3 (* young full again -> retires {a,b}: 2 evictions *);
+  (* the hit moved "a" from the old generation into the young one *)
+  Alcotest.(check int) "promoted entry counted once" 2 (Memo.stats t).Memo.entries;
+  Memo.add t "c" 3 (* young full again -> retires {b}: 1 eviction *);
   Memo.add t "d" 4;
   Memo.add t "e" 5 (* retires {a,c}: 2 more *);
   Alcotest.(check (option int)) "unused for two generations: evicted" None (Memo.find t "b");
   Alcotest.(check (option int)) "promotion did not outlive disuse" None (Memo.find t "a");
   Alcotest.(check (option int)) "recent entry survives" (Some 4) (Memo.find t "d");
-  Alcotest.(check int) "evictions counted" 4 (Memo.stats t).Memo.evictions
+  Alcotest.(check int) "evictions counted" 3 (Memo.stats t).Memo.evictions
 
 let test_memo_disabled_bypasses () =
-  (* the --no-cache contract at the table level: a disabled table
-     answers nothing, stores nothing, and counts nothing *)
-  let t : int Memo.t = Memo.create () in
+  (* the --no-cache contract at the table level: while memos are
+     disabled a table answers nothing, stores nothing (an import
+     included), and counts nothing *)
+  let t : int Memo.t = Memo.create ~name:"test disabled" () in
+  let restored : int Memo.t = Memo.create ~name:"test disabled import" () in
   Memo.add t "k" 1;
-  Memo.set_enabled t false;
-  Alcotest.(check (option int)) "disabled find misses" None (Memo.find t "k");
-  Memo.add t "k2" 2;
-  Alcotest.(check int) "disabled lookups uncounted" 0
-    ((Memo.stats t).Memo.hits + (Memo.stats t).Memo.misses);
-  Memo.set_enabled t true;
+  let dump = Memo.export t in
+  Memo.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Memo.set_enabled true)
+    (fun () ->
+      Alcotest.(check (option int)) "disabled find misses" None (Memo.find t "k");
+      Memo.add t "k2" 2;
+      Alcotest.(check int) "disabled lookups uncounted" 0
+        ((Memo.stats t).Memo.hits + (Memo.stats t).Memo.misses);
+      Alcotest.(check (result int string)) "disabled import restores nothing" (Ok 0)
+        (Memo.import restored dump));
+  Alcotest.(check int) "disabled import stored nothing" 0 (Memo.stats restored).Memo.entries;
   Alcotest.(check (option int)) "disabled add stored nothing" None (Memo.find t "k2");
   Alcotest.(check (option int)) "re-enabled table still has its entries" (Some 1) (Memo.find t "k")
 

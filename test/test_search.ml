@@ -15,6 +15,8 @@ module Interp = Inl_interp.Interp
 module Verify = Inl_verify.Verify
 module Diag = Inl_diag.Diag
 module Pool = Inl_parallel.Pool
+module Memo = Inl_diag.Memo
+module Stats = Inl_diag.Stats
 module Ast = Inl_ir.Ast
 module Mat = Inl_linalg.Mat
 module Layout = Inl_instance.Layout
@@ -214,28 +216,60 @@ let delta_property =
        QCheck2.Gen.(pair (int_bound 4) (int_bound 23))
        delta_prop)
 
-(* ---- the --no-cache contract for the new memos ---- *)
+(* ---- the memo registry ---- *)
+
+let lookups () =
+  List.map (fun (name, (s : Memo.stats)) -> (name, s.Memo.hits + s.Memo.misses)) (Memo.all_stats ())
 
 let test_no_cache_bypasses_memos () =
   let run () = render (Search.optimize ~config:tiny (Inl.analyze (parse Px.cholesky_kji))) in
   let reference = run () in
-  Inl.Legality.set_memo_enabled false;
-  Search.set_mat_cache_enabled false;
+  Memo.set_enabled false;
   Fun.protect
-    ~finally:(fun () ->
-      Inl.Legality.set_memo_enabled true;
-      Search.set_mat_cache_enabled true)
+    ~finally:(fun () -> Memo.set_enabled true)
     (fun () ->
-      let lookups (s : Inl_diag.Memo.stats) = s.Inl_diag.Memo.hits + s.Inl_diag.Memo.misses in
-      let l0 = lookups (Inl.Legality.memo_stats ()) in
-      let p0 = lookups (Search.mat_cache_stats ()) in
-      let c0 = lookups (Search.completion_cache_stats ()) in
+      let before = lookups () in
       let off = run () in
       Alcotest.(check string) "identical outcome without the memos" reference off;
-      Alcotest.(check int) "legality memo untouched" l0 (lookups (Inl.Legality.memo_stats ()));
-      Alcotest.(check int) "pipeline memo untouched" p0 (lookups (Search.mat_cache_stats ()));
-      Alcotest.(check int) "completion memo untouched" c0
-        (lookups (Search.completion_cache_stats ())))
+      Alcotest.(check (list (pair string int))) "every registered memo untouched" before
+        (lookups ()))
+
+(* The corpus rule "every attempt starts cold": after [Memo.clear_all] a
+   search replays the same lookups against the same (empty) tables, so
+   every registered memo sees the same hits and misses and the search
+   the same funnel counters. *)
+let test_clear_all_is_cold () =
+  let jobs = Pool.requested_jobs () in
+  Pool.set_jobs 1;
+  Fun.protect
+    ~finally:(fun () -> Pool.set_jobs jobs)
+    (fun () ->
+      let run () =
+        Memo.clear_all ();
+        let snap = Stats.snapshot () in
+        ignore (Search.optimize ~config:tiny (Inl.analyze (parse Px.cholesky_kji)));
+        let search_counters =
+          List.filter
+            (fun (name, _) -> String.length name > 7 && String.sub name 0 7 = "search.")
+            (snd (Stats.since snap))
+        in
+        ( List.map
+            (fun (name, (s : Memo.stats)) -> (name, (s.Memo.hits, s.Memo.misses)))
+            (Memo.all_stats ()),
+          search_counters )
+      in
+      let memos1, counters1 = run () in
+      let memos2, counters2 = run () in
+      Alcotest.(check (list string)) "every memo registered"
+        [
+          "completion memo"; "extents memo"; "legality memo"; "projection cache"; "reuse memo";
+          "signature memo"; "steps memo"; "trace memo";
+        ]
+        (List.sort compare (List.map fst memos1));
+      Alcotest.(check bool) "the search used the memos" true
+        (List.exists (fun (_, (h, m)) -> h + m > 0) memos1);
+      Alcotest.(check (list (pair string (pair int int)))) "identical memo deltas" memos1 memos2;
+      Alcotest.(check (list (pair string int))) "identical search counters" counters1 counters2)
 
 (* ---- property: every winner is legal, validated, and equivalent ---- *)
 
@@ -290,6 +324,7 @@ let () =
           Alcotest.test_case "deterministic across jobs" `Quick
             test_optimize_deterministic_across_jobs;
           Alcotest.test_case "--no-cache bypasses the memos" `Quick test_no_cache_bypasses_memos;
+          Alcotest.test_case "clear_all starts every memo cold" `Quick test_clear_all_is_cold;
         ] );
       ("property", [ delta_property; winner_property ]);
     ]

@@ -168,7 +168,7 @@ let test_cache_snapshot_roundtrip () =
   Omega.clear_cache ();
   let src = "params N\ndo I = 1..N\n  S1: A(I) = A(I-1) + A(I)\nenddo\n" in
   ignore (Inl.analyze_source_result src);
-  let entries_before = (Omega.cache_stats ()).Inl_presburger.Cache.entries in
+  let entries_before = (Omega.cache_stats ()).Inl_diag.Memo.entries in
   Alcotest.(check bool) "analysis populated the cache" true (entries_before > 0);
   let dump = Omega.cache_snapshot () in
   Omega.clear_cache ();
@@ -178,8 +178,8 @@ let test_cache_snapshot_roundtrip () =
   (* restored entries actually hit *)
   ignore (Inl.analyze_source_result src);
   let cs = Omega.cache_stats () in
-  Alcotest.(check bool) "warm after restore" true (cs.Inl_presburger.Cache.hits > 0);
-  Alcotest.(check bool) "no misses after restore" true (cs.Inl_presburger.Cache.misses = 0);
+  Alcotest.(check bool) "warm after restore" true (cs.Inl_diag.Memo.hits > 0);
+  Alcotest.(check bool) "no misses after restore" true (cs.Inl_diag.Memo.misses = 0);
   (* corrupt dumps are an Error, not an exception *)
   match Omega.cache_restore "garbage" with
   | Error _ -> ()
@@ -277,6 +277,13 @@ let test_handle_shutdown_and_stats () =
     Option.bind (Json.member "result" stats) (Json.int_field "served")
   in
   Alcotest.(check (option int)) "served counter" (Some 1) served;
+  (* one entry per registered memo, read from the registry *)
+  let memos = Option.bind (Json.member "result" stats) (Json.member "memos") in
+  let field name f = Option.bind (Option.bind memos (Json.member name)) (Json.int_field f) in
+  Alcotest.(check bool) "memos: hits, misses and entries of every registered memo" true
+    (List.for_all
+       (fun (name, _) -> List.for_all (fun f -> field name f <> None) [ "hits"; "misses"; "entries" ])
+       (Inl_diag.Memo.all_stats ()));
   let bye = parse_response (Server.handle t {|{"id":3,"method":"shutdown"}|}) in
   Alcotest.(check (option bool)) "shutdown acknowledged" (Some true)
     (Option.bind (Json.member "result" bye) (Json.bool_field "draining"));
