@@ -2,7 +2,7 @@
 # full build, test suite, and static verification of the example
 # kernels (examples/kernels/dune).
 
-.PHONY: all build test check fuzz-smoke search-smoke reuse-smoke bench-json perf-guard corpus-smoke corpus-bench corpus-guard exec-smoke exec-bench exec-guard clean
+.PHONY: all build test check fuzz-smoke serve-smoke search-smoke reuse-smoke bench-json perf-guard corpus-smoke corpus-bench corpus-guard exec-smoke exec-bench exec-guard clean
 
 all: build
 

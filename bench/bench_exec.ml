@@ -150,64 +150,18 @@ let json_of_row ~timings (rr : result_row) =
 
 let stable_fields = [ "label"; "plan"; "doall"; "loops" ]
 
-let row_map doc =
-  match Json.member "rows" doc with
-  | Some (Json.List rs) ->
-      Ok
-        (List.filter_map
-           (fun r ->
-             match (Json.string_field "name" r, Json.string_field "schedule" r) with
-             | Some n, Some s -> Some (n ^ "/" ^ s, r)
-             | _ -> None)
-           rs)
-  | _ -> Error "no \"rows\" list"
-
-let run_guard ~path current =
-  let baseline =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
+let run_guard ~path ~count current =
+  let baseline = In_channel.with_open_bin path In_channel.input_all in
+  let key r =
+    match (Json.string_field "name" r, Json.string_field "schedule" r) with
+    | Some n, Some s -> Some (n ^ "/" ^ s)
+    | _ -> None
   in
-  let parse what text =
-    match Json.parse text with
-    | Ok j -> j
-    | Error e ->
-        Printf.eprintf "exec-guard: %s does not parse: %s\n" what e;
-        exit 2
-  in
-  let keyed what doc =
-    match row_map doc with
-    | Ok m -> m
-    | Error e ->
-        Printf.eprintf "exec-guard: %s: %s\n" what e;
-        exit 2
-  in
-  let bks = keyed "baseline" (parse "baseline" baseline) in
-  let cks = keyed "fresh report" (parse "fresh report" current) in
-  let failures = ref [] in
-  let note fmt = Format.kasprintf (fun m -> failures := m :: !failures) fmt in
-  let repr k f = match Json.member f k with None -> "<absent>" | Some v -> Json.to_string v in
-  List.iter
-    (fun (key, bk) ->
-      match List.assoc_opt key cks with
-      | None -> note "row %S: in the baseline but not the fresh report" key
-      | Some ck ->
-          List.iter
-            (fun f ->
-              let b = repr bk f and c = repr ck f in
-              if b <> c then note "row %S: %s drifted: committed %s, got %s" key f b c)
-            stable_fields)
-    bks;
-  List.iter
-    (fun (key, _) ->
-      if not (List.mem_assoc key bks) then
-        note "row %S: in the fresh report but not the baseline" key)
-    cks;
-  match List.rev !failures with
-  | [] -> Printf.printf "exec-guard PASS: %d rows stable\n" (List.length bks)
-  | fs ->
+  match
+    Inl_corpus.Bench.drift ~list:"rows" ~key ~noun:"row" ~fields:stable_fields ~baseline ~current
+  with
+  | Ok () -> Printf.printf "exec-guard PASS: %d rows stable\n" count
+  | Error fs ->
       List.iter (fun f -> Printf.eprintf "exec-guard FAIL: %s\n" f) fs;
       exit 1
 
@@ -282,4 +236,4 @@ let () =
               exit 1
             end)
       expected_labels;
-  if !guard_path <> "" then run_guard ~path:!guard_path json
+  if !guard_path <> "" then run_guard ~path:!guard_path ~count:(List.length results) json

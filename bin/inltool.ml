@@ -26,6 +26,7 @@ module Verify = Inl_verify.Verify
 module Exec = Inl_exec.Exec
 module Cemit = Inl_exec.Cemit
 module Search = Inl_search.Search
+module Job = Inl_search.Job
 module Reuse = Inl_reuse.Reuse
 module Memo = Inl_diag.Memo
 module Diag = Inl.Diag
@@ -41,13 +42,19 @@ let read_file path =
   close_in ic;
   s
 
+let ( let* ) = Result.bind
+
 let print_diags ds = List.iter (fun d -> prerr_endline (Diag.to_string d)) ds
+
+let fail ds =
+  print_diags ds;
+  1
 
 (* Loading untrusted input must end in a typed diagnostic, never an
    uncaught backtrace: I/O failures and anything unexpected the parser
    or analyzer lets slip become D704 driver errors (exit 1). *)
-let load path =
-  match Inl.analyze_source_result (read_file path) with
+let load_with f path =
+  match f (read_file path) with
   | result -> result
   | exception Sys_error msg -> Error [ Diag.error ~code:"D704" ~phase:Diag.Driver msg ]
   | exception e ->
@@ -56,6 +63,14 @@ let load path =
           Diag.errorf ~code:"D704" ~phase:Diag.Driver "unexpected failure loading %s: %s" path
             (Printexc.to_string e);
         ]
+
+let load = load_with (fun src -> Inl.analyze_source_result src)
+
+(* Parse without building a Layout: the verifier and the interpreter
+   are meant for arbitrary program shapes — in particular codegen
+   output, whose If/Let nodes the instance-vector layout rejects by
+   design. *)
+let parse_only = load_with (fun src -> Job.parse src)
 
 (* ---- common arguments: resource budget and fault injection ---- *)
 
@@ -171,18 +186,15 @@ let finish stats code =
   if stats then report_stats ();
   code
 
-(* Shared driver scaffold: run [f ctx] after setup + load, merging exit
-   codes (errors dominate, then degradation). *)
+(* Shared driver scaffold: run [f stats] after setup... *)
+let with_setup common f = match common with Error ds -> fail ds | Ok stats -> f stats
+
+(* ... and [f ctx] after setup + load, merging exit codes (errors
+   dominate, then degradation). *)
 let with_context common file (f : Inl.context -> int) : int =
-  match common with
-  | Error ds ->
-      print_diags ds;
-      1
-  | Ok stats -> (
+  with_setup common (fun stats ->
       match load file with
-      | Error ds ->
-          print_diags ds;
-          1
+      | Error ds -> fail ds
       | Ok ctx ->
           let code = f ctx in
           finish stats (if code = 0 then Diag.exit_code ctx.Inl.diags else code))
@@ -193,19 +205,15 @@ let file_arg = Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"F
    degradation, then clean. *)
 let merge_code a b = if a = 1 || b = 1 then 1 else max a b
 
+let print_verdict v = Option.iter (Printf.printf "\n%s\n") (Job.verdict_line v)
+
 (* Static post-pass behind --check: translation validation of the
    generated program against the analyzed source. *)
 let run_check (ctx : Inl.context) (prog : Inl.Ast.program) : int =
-  let report = Verify.run ~against:ctx.Inl.program prog in
-  let ds = Verify.diags report in
-  print_diags ds;
-  if Diag.has_errors ds then 1
-  else if Diag.has_warnings ds then (
-    Printf.printf "\nstatic verification incomplete (see warnings)\n";
-    2)
-  else (
-    Printf.printf "\nstatically verified: instance sets and dependence order preserved\n";
-    0)
+  let c = Job.verify ~against:ctx.Inl.program prog in
+  print_diags c.Job.diags;
+  print_verdict c.Job.verdict;
+  Job.verdict_code c.Job.verdict
 
 let nparam =
   Arg.(value & opt int 6 & info [ "N"; "size" ] ~docv:"N" ~doc:"Value for the size parameter N.")
@@ -280,9 +288,7 @@ let run_interp_verify (ctx : Inl.context) prog n : int =
       Printf.printf "\nverified equivalent at N = %d\n" n;
       0
   | Error d ->
-      print_diags
-        [ Diag.errorf ~code:"V601" ~phase:Diag.Interp "NOT EQUIVALENT at N = %d: %s" n d ];
-      1
+      fail [ Diag.errorf ~code:"V601" ~phase:Diag.Interp "NOT EQUIVALENT at N = %d: %s" n d ]
 
 let list_opt name doc = Arg.(value & opt_all string [] & info [ name ] ~docv:"SPEC" ~doc)
 
@@ -295,14 +301,13 @@ let check_flag =
            dependence-order preservation plus the well-formedness lint (exit 1 on a \
            verification error, 2 when a check degraded under the resource budget).")
 
-(* The shared back half of `apply`: a materialized total matrix goes
+(* The shared back half of `apply` and `complete`: a total matrix goes
    through legality + codegen, then the optional post-passes. *)
-let apply_matrix ctx ~no_simplify ~verify ~check (total : Inl.Mat.t) : int =
-  Format.printf "transformation matrix:@.%a@.@." Inl.Mat.pp total;
+let apply_matrix ?(title = "transformation matrix") ?(no_simplify = false) ctx ~verify ~check
+    (total : Inl.Mat.t) : int =
+  Format.printf "%s:@.%a@.@." title Inl.Mat.pp total;
   match Inl.transform ctx ~simplify:(not no_simplify) total with
-  | Error ds ->
-      print_diags (ctx.Inl.diags @ ds);
-      1
+  | Error ds -> fail (ctx.Inl.diags @ ds)
   | Ok prog ->
       Format.printf "%s@." (Inl.Pp.program_to_string prog);
       print_diags ctx.Inl.diags;
@@ -319,20 +324,15 @@ let materialize_recipe ctx path : (Inl.Mat.t, Diag.t list) result =
       Error [ Diag.errorf ~code:"D705" ~phase:Diag.Driver "malformed recipe %s: %s" path msg ]
   | exception Sys_error msg -> Error [ Diag.error ~code:"D704" ~phase:Diag.Driver msg ]
   | Ok recipe -> (
-      match Inl_fuzz.Tf.materialize ctx recipe with
+      match
+        try Inl_fuzz.Tf.materialize ctx recipe with e -> Error (Printexc.to_string e)
+      with
       | Ok m -> Ok m
       | Error msg ->
           Error
             [
               Diag.errorf ~code:"D705" ~phase:Diag.Driver
                 "recipe %s does not materialize against this program: %s" path msg;
-            ]
-      | exception e ->
-          Error
-            [
-              Diag.errorf ~code:"D705" ~phase:Diag.Driver
-                "recipe %s does not materialize against this program: %s" path
-                (Printexc.to_string e);
             ])
 
 let apply_cmd =
@@ -351,33 +351,24 @@ let apply_cmd =
         in
         match recipe with
         | Some path when List.exists (fun (_, specs) -> specs <> []) step_groups ->
-            print_diags
+            fail
               [
                 Diag.errorf ~code:"D703" ~phase:Diag.Driver
                   "--recipe %s cannot be combined with step options" path;
-              ];
-            1
+              ]
         | Some path -> (
             match materialize_recipe ctx path with
-            | Error ds ->
-                print_diags ds;
-                1
-            | Ok total -> apply_matrix ctx ~no_simplify ~verify ~check total)
+            | Error ds -> fail ds
+            | Ok total -> apply_matrix ~no_simplify ctx ~verify ~check total)
         | None -> (
             match collect_steps step_groups with
-            | Error ds ->
-                print_diags ds;
-                1
+            | Error ds -> fail ds
             | Ok [] ->
-                print_diags
-                  [ Diag.error ~code:"D703" ~phase:Diag.Driver "no transformation steps given" ];
-                1
+                fail [ Diag.error ~code:"D703" ~phase:Diag.Driver "no transformation steps given" ]
             | Ok steps -> (
                 match Inl.pipeline ctx steps with
-                | Error ds ->
-                    print_diags (ctx.Inl.diags @ ds);
-                    1
-                | Ok total -> apply_matrix ctx ~no_simplify ~verify ~check total)))
+                | Error ds -> fail (ctx.Inl.diags @ ds)
+                | Ok total -> apply_matrix ~no_simplify ctx ~verify ~check total)))
   in
   let no_simplify =
     Arg.(value & flag & info [ "no-simplify" ] ~doc:"Skip the cleanup pass of Section 5.5.")
@@ -426,28 +417,11 @@ let complete_cmd =
               | ints -> Inl.Vec.of_int_list ints)
             rows
         with
-        | exception Bad_step msg ->
-            print_diags [ Diag.error ~code:"D702" ~phase:Diag.Driver msg ];
-            1
+        | exception Bad_step msg -> fail [ Diag.error ~code:"D702" ~phase:Diag.Driver msg ]
         | partial -> (
             match Inl.complete_result ctx ~partial with
-            | Error ds ->
-                print_diags (ctx.Inl.diags @ ds);
-                1
-            | Ok m -> (
-                Format.printf "completed matrix:@.%a@.@." Inl.Mat.pp m;
-                match Inl.transform ctx m with
-                | Error ds ->
-                    print_diags (ctx.Inl.diags @ ds);
-                    1
-                | Ok prog ->
-                    Format.printf "%s@." (Inl.Pp.program_to_string prog);
-                    print_diags ctx.Inl.diags;
-                    let check_code = if check then run_check ctx prog else 0 in
-                    let verify_code =
-                      match verify with None -> 0 | Some n -> run_interp_verify ctx prog n
-                    in
-                    merge_code check_code verify_code)))
+            | Error ds -> fail (ctx.Inl.diags @ ds)
+            | Ok m -> apply_matrix ~title:"completed matrix" ctx ~verify ~check m))
   in
   let rows =
     Arg.(value & opt_all string [] & info [ "row" ] ~docv:"a,b,..." ~doc:"A partial matrix row (repeatable; the first rows of the target matrix).")
@@ -461,58 +435,25 @@ let complete_cmd =
 
 (* ---- verify ---- *)
 
-(* Parse without building a Layout: the verifier is meant for arbitrary
-   program shapes — in particular codegen output, whose If/Let nodes the
-   instance-vector layout rejects by design. *)
-let parse_only path : (Inl.Ast.program, Diag.t list) result =
-  match Inl.Parser.parse (read_file path) with
-  | Ok prog -> Ok prog
-  | Error msg -> Error [ Diag.error ~code:"P101" ~phase:Diag.Parse msg ]
-  | exception Sys_error msg -> Error [ Diag.error ~code:"D704" ~phase:Diag.Driver msg ]
-  | exception e ->
-      Error
-        [
-          Diag.errorf ~code:"D704" ~phase:Diag.Driver "unexpected failure loading %s: %s" path
-            (Printexc.to_string e);
-        ]
-
 let verify_cmd =
   let run common file against =
-    match common with
-    | Error ds ->
-        print_diags ds;
-        1
-    | Ok stats -> (
+    with_setup common (fun stats ->
         match parse_only file with
-        | Error ds ->
-            print_diags ds;
-            1
+        | Error ds -> fail ds
         | Ok prog -> (
-            let source =
-              match against with
-              | None -> Ok None
-              | Some src -> (
-                  match parse_only src with Ok p -> Ok (Some p) | Error ds -> Error ds)
-            in
-            match source with
-            | Error ds ->
-                print_diags ds;
-                1
+            match
+              Option.fold against ~none:(Ok None) ~some:(fun src ->
+                  Result.map Option.some (parse_only src))
+            with
+            | Error ds -> fail ds
             | Ok source ->
-                let report = Verify.run ?against:source prog in
-                print_endline (Verify.annotated prog report.Verify.loops);
+                let c = Job.verify ?against:source prog in
+                print_endline (Verify.annotated prog c.Job.report.Verify.loops);
                 print_newline ();
-                List.iter print_endline (Verify.loop_summary report.Verify.loops);
-                let ds = Verify.diags report in
-                print_diags ds;
-                (if not (Diag.has_errors ds) then
-                   match (source, Diag.has_warnings ds) with
-                   | Some _, false ->
-                       Printf.printf
-                         "\nstatically verified: instance sets and dependence order preserved\n"
-                   | Some _, true -> Printf.printf "\nstatic verification incomplete (see warnings)\n"
-                   | None, _ -> ());
-                finish stats (Diag.exit_code ds)))
+                List.iter print_endline (Verify.loop_summary c.Job.report.Verify.loops);
+                print_diags c.Job.diags;
+                if source <> None then print_verdict c.Job.verdict;
+                finish stats (Job.verdict_code c.Job.verdict)))
   in
   let against =
     Arg.(
@@ -540,11 +481,7 @@ let write_file path contents =
 
 let run_cmd =
   let run common file n recipe threads repeat no_timings emit_c =
-    match common with
-    | Error ds ->
-        print_diags ds;
-        1
-    | Ok stats -> (
+    with_setup common (fun stats ->
         (* Without --recipe, parse-only on purpose: generated programs
            (If/Let nodes) have no instance-vector layout but interpret
            fine.  With --recipe the file must be a source program (the
@@ -553,21 +490,13 @@ let run_cmd =
         let prog_result =
           match recipe with
           | None -> parse_only file
-          | Some rpath -> (
-              match load file with
-              | Error ds -> Error ds
-              | Ok ctx -> (
-                  match materialize_recipe ctx rpath with
-                  | Error ds -> Error ds
-                  | Ok total -> (
-                      match Inl.transform ctx total with
-                      | Error ds -> Error (ctx.Inl.diags @ ds)
-                      | Ok prog -> Ok prog)))
+          | Some rpath ->
+              let* ctx = load file in
+              let* total = materialize_recipe ctx rpath in
+              Result.map_error (fun ds -> ctx.Inl.diags @ ds) (Inl.transform ctx total)
         in
         match prog_result with
-        | Error ds ->
-            print_diags ds;
-            1
+        | Error ds -> fail ds
         | Ok prog -> (
             (* every program parameter is bound to the -N size, as in the
                search's simulation tier *)
@@ -576,8 +505,7 @@ let run_cmd =
             | Some cpath -> (
                 match Exec.analyze prog with
                 | exception Inl.Ast.Invalid msg ->
-                    print_diags [ Diag.errorf ~code:"X802" ~phase:Diag.Exec "invalid program: %s" msg ];
-                    1
+                    fail [ Diag.errorf ~code:"X802" ~phase:Diag.Exec "invalid program: %s" msg ]
                 | doall ->
                     write_file cpath (Cemit.emit prog ~params ~doall);
                     Printf.printf "wrote %s (%d/%d loops doall)\n" cpath
@@ -669,25 +597,25 @@ let run_cmd =
 
 (* ---- optimize ---- *)
 
+(* A search option below the driver's minimum is a usage error at
+   argument parsing, like the manifest's K701. *)
+let search_opt key ~docv ~doc =
+  let min, _ = Option.get (Job.field key) in
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %s" min s))
+  in
+  Arg.(value & opt (some (conv (parse, Format.pp_print_int))) None & info [ key ] ~docv ~doc)
+
 let optimize_cmd =
   let run common file beam depth finalists size seed out =
     with_context common file (fun ctx ->
-        (* beam/depth default to the kernel-size-aware widened values;
-           explicit --beam/--depth always win *)
-        let auto = Search.config_for ctx in
-        let config =
-          {
-            auto with
-            Search.beam = Option.value beam ~default:auto.Search.beam;
-            depth = Option.value depth ~default:auto.Search.depth;
-            finalists;
-            size;
-            seed;
-          }
-        in
         Sigint.install ();
         try
-        let o = Search.optimize ~config ctx in
+        let { Job.outcome = o; diags } =
+          Job.optimize ~base:(Search.config_for ctx) { Job.beam; depth; finalists; size; seed } ctx
+        in
         let f = o.Search.funnel in
         Printf.printf
           "search: generated=%d materialize-failed=%d duplicate=%d pruned-illegal=%d \
@@ -714,8 +642,7 @@ let optimize_cmd =
               misses rate
               (Search.recipe_line e.Search.recipe))
           o.Search.entries;
-        print_diags ctx.Inl.diags;
-        print_diags o.Search.diags;
+        print_diags diags;
         (match o.Search.winner with
         | None -> 1
         | Some w ->
@@ -733,7 +660,7 @@ let optimize_cmd =
             write_file (prefix ^ ".tf") (Inl_fuzz.Tf.to_string w.Search.recipe);
             Printf.printf "wrote %s.loop and %s.tf\n" prefix prefix;
             Format.printf "@.%s@." (Inl.Pp.program_to_string prog);
-            Diag.exit_code o.Search.diags)
+            Diag.exit_code diags)
         with Sigint.Interrupted ->
           (* honoured at generation boundaries inside the search: flush
              the stats report (with_context's finish) and exit 130
@@ -741,33 +668,32 @@ let optimize_cmd =
           prerr_endline "optimize: interrupted; no winner written";
           Sigint.exit_code)
   in
+  let d = Search.default_config in
   let beam =
-    Arg.(value & opt (some int) None
-         & info [ "beam" ] ~docv:"B"
-             ~doc:"Beam width of the move search (default: 8, widened to 12 on kernels with \
-                   at least 8 layout columns).")
+    search_opt "beam" ~docv:"B"
+      ~doc:"Beam width of the move search (default: 8, widened to 12 on kernels with at least \
+            8 layout columns)."
   in
   let depth =
-    Arg.(value & opt (some int) None
-         & info [ "depth" ] ~docv:"D"
-             ~doc:"Move generations after the completion seeds (default: 3, widened to 4 on \
-                   kernels with at least 8 layout columns).")
+    search_opt "depth" ~docv:"D"
+      ~doc:"Move generations after the completion seeds (default: 3, widened to 4 on kernels \
+            with at least 8 layout columns)."
   in
   let finalists =
-    Arg.(value & opt int Search.default_config.Search.finalists
-         & info [ "finalists" ] ~docv:"K"
-             ~doc:"Statically ranked candidates promoted to the cache-simulation tier.")
+    search_opt "finalists" ~docv:"K"
+      ~doc:(Printf.sprintf "Statically ranked candidates promoted to the cache-simulation tier \
+                            (default: %d)." d.Search.finalists)
   in
   let size =
-    Arg.(value & opt int Search.default_config.Search.size
-         & info [ "size" ] ~docv:"N"
-             ~doc:"Problem size for the simulation tier (every program parameter is bound to N).")
+    search_opt "size" ~docv:"N"
+      ~doc:(Printf.sprintf "Problem size for the simulation tier (every program parameter is \
+                            bound to N; default: %d)." d.Search.size)
   in
   let seed =
-    Arg.(value & opt int Search.default_config.Search.seed
-         & info [ "seed" ] ~docv:"S"
-             ~doc:"Search seed (used only to subsample oversized move sets; the search is \
-                   deterministic for a fixed seed, independent of $(b,--jobs)).")
+    search_opt "seed" ~docv:"S"
+      ~doc:(Printf.sprintf "Search seed (default: %d; used only to subsample oversized move \
+                            sets; the search is deterministic for a fixed seed, independent of \
+                            $(b,--jobs))." d.Search.seed)
   in
   let out =
     Arg.(value & opt (some string) None
@@ -792,11 +718,8 @@ let optimize_cmd =
 let analyze_cmd =
   let run common file reuse recipe work line_elems =
     with_context common file (fun ctx ->
-        if not reuse then begin
-          print_diags
-            [ Diag.error ~code:"D707" ~phase:Diag.Driver "no analysis selected (try --reuse)" ];
-          1
-        end
+        if not reuse then
+          fail [ Diag.error ~code:"D707" ~phase:Diag.Driver "no analysis selected (try --reuse)" ]
         else
           let matrix =
             match recipe with
@@ -804,18 +727,15 @@ let analyze_cmd =
             | Some path -> materialize_recipe ctx path
           in
           match matrix with
-          | Error ds ->
-              print_diags ds;
-              1
+          | Error ds -> fail ds
           | Ok m -> (
               match Inl.check ctx m with
               | Inl.Legality.Illegal reason ->
-                  print_diags
+                  fail
                     [
                       Diag.errorf ~code:"L302" ~phase:Diag.Legality "illegal transformation: %s"
                         reason;
-                    ];
-                  1
+                    ]
               | Inl.Legality.Legal { structure; _ } ->
                   let work_budget =
                     match work with
@@ -883,17 +803,12 @@ let analyze_cmd =
 
 let fuzz_cmd =
   let run common seed cases timeout_ms corpus no_shrink replay =
-    match common with
-    | Error ds ->
-        print_diags ds;
-        1
-    | Ok stats -> (
+    with_setup common (fun stats ->
         match replay with
         | Some base -> (
             match Inl_fuzz.Driver.replay ~timeout_ms base with
             | Error msg ->
-                print_diags [ Diag.error ~code:"D706" ~phase:Diag.Driver msg ];
-                1
+                fail [ Diag.error ~code:"D706" ~phase:Diag.Driver msg ]
             | Ok reproduced -> finish stats (if reproduced then 1 else 0))
         | None -> (
             Sigint.install ();
@@ -902,8 +817,7 @@ let fuzz_cmd =
             in
             match Inl_fuzz.Driver.run ~stop:Sigint.requested cfg with
             | Error msg ->
-                print_diags [ Diag.error ~code:"D706" ~phase:Diag.Driver msg ];
-                1
+                fail [ Diag.error ~code:"D706" ~phase:Diag.Driver msg ]
             | Ok report ->
                 finish stats
                   (if report.Inl_fuzz.Driver.interrupted then Sigint.exit_code
@@ -980,16 +894,10 @@ let corpus_cmd =
     else 0
   in
   let run common manifest_path state timeout_ms no_timings out_file guard =
-    match common with
-    | Error ds ->
-        print_diags ds;
-        1
-    | Ok stats -> (
+    with_setup common (fun stats ->
         Sigint.install ();
         match Manifest.load manifest_path with
-        | Error ds ->
-            print_diags ds;
-            1
+        | Error ds -> fail ds
         | Ok manifest -> (
             (* guard mode is a fresh, unpersisted, untimed run: nothing
                to resume from, nothing clobbered, wall-time noise out of
@@ -1023,12 +931,11 @@ let corpus_cmd =
                     | Some baseline_path -> (
                         match read_file baseline_path with
                         | exception Sys_error m ->
-                            print_diags
+                            fail
                               [
                                 Diag.errorf ~code:"K709" ~phase:Diag.Corpus
                                   "cannot read guard baseline: %s" m;
-                              ];
-                            1
+                              ]
                         | baseline -> (
                             match Bench.guard ~baseline ~current:json with
                             | Ok () ->
@@ -1037,12 +944,11 @@ let corpus_cmd =
                                   (List.length report.Runner.records);
                                 0
                             | Error drifts ->
-                                print_diags
+                                fail
                                   (List.map
                                      (fun m ->
                                        Diag.errorf ~code:"K709" ~phase:Diag.Corpus "%s" m)
-                                     drifts);
-                                1)))))
+                                     drifts))))))
   in
   let manifest_arg =
     Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"MANIFEST")
@@ -1113,11 +1019,7 @@ let corpus_cmd =
 let serve_cmd =
   let module Server = Inl_serve.Server in
   let run common socket connect state queue_cap timeout_ms max_bytes checkpoint_every =
-    match common with
-    | Error ds ->
-        print_diags ds;
-        1
-    | Ok stats -> (
+    with_setup common (fun stats ->
         match connect with
         | Some path -> finish stats (Server.client ~socket:path)
         | None ->

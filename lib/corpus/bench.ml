@@ -41,45 +41,44 @@ let stable_fields =
   [ "status"; "signature"; "winner"; "source_misses"; "winner_misses"; "accesses";
     "candidates"; "degradations"; "doall"; "exec" ]
 
-let kernel_map doc =
-  match Json.member "kernels" doc with
-  | Some (Json.List ks) ->
-      Ok
-        (List.filter_map
-           (fun k -> match Json.string_field "name" k with Some n -> Some (n, k) | None -> None)
-           ks)
-  | _ -> Error "no \"kernels\" list"
-
 let field_repr k name =
   match Json.member name k with
   | None -> "<absent>"
   | Some v -> Json.to_string v
 
-let guard ~baseline ~current =
+let drift ~list ~key ~noun ~fields ~baseline ~current =
+  let rows doc =
+    match Json.member list doc with
+    | Some (Json.List rs) -> Ok (List.filter_map (fun r -> Option.map (fun k -> (k, r)) (key r)) rs)
+    | _ -> Error (Printf.sprintf "no %S list" list)
+  in
   match (Json.parse baseline, Json.parse current) with
   | Error m, _ -> Error [ "baseline does not parse: " ^ m ]
   | _, Error m -> Error [ "fresh report does not parse: " ^ m ]
   | Ok base, Ok cur -> (
-      match (kernel_map base, kernel_map cur) with
+      match (rows base, rows cur) with
       | Error m, _ -> Error [ "baseline: " ^ m ]
       | _, Error m -> Error [ "fresh report: " ^ m ]
       | Ok bks, Ok cks ->
           let drifts = ref [] in
           let note fmt = Format.kasprintf (fun m -> drifts := m :: !drifts) fmt in
           List.iter
-            (fun (name, bk) ->
-              match List.assoc_opt name cks with
-              | None -> note "kernel %S: in the baseline but not the fresh report" name
-              | Some ck ->
+            (fun (k, b) ->
+              match List.assoc_opt k cks with
+              | None -> note "%s %S: in the baseline but not the fresh report" noun k
+              | Some c ->
                   List.iter
                     (fun f ->
-                      let b = field_repr bk f and c = field_repr ck f in
-                      if b <> c then note "kernel %S: %s drifted: committed %s, got %s" name f b c)
-                    stable_fields)
+                      let b = field_repr b f and c = field_repr c f in
+                      if b <> c then note "%s %S: %s drifted: committed %s, got %s" noun k f b c)
+                    fields)
             bks;
           List.iter
-            (fun (name, _) ->
-              if not (List.mem_assoc name bks) then
-                note "kernel %S: in the fresh report but not the baseline" name)
+            (fun (k, _) ->
+              if not (List.mem_assoc k bks) then
+                note "%s %S: in the fresh report but not the baseline" noun k)
             cks;
           if !drifts = [] then Ok () else Error (List.rev !drifts))
+
+let guard =
+  drift ~list:"kernels" ~key:(Json.string_field "name") ~noun:"kernel" ~fields:stable_fields

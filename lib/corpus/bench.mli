@@ -18,6 +18,14 @@
 val render : manifest_fingerprint:string -> jobs:int -> timings:bool -> Record.t list -> string
 (** The full JSON document, trailing newline included. *)
 
+val drift :
+  list:string -> key:(Inl_serve.Json.t -> string option) -> noun:string -> fields:string list ->
+  baseline:string -> current:string -> (unit, string list) result
+(** The check behind every committed-report guard: rows of the JSON
+    list [list] are matched by [key], and each of [fields] must have the
+    same JSON text in both documents.  [Error] names every missing,
+    extra or drifted row as [noun] (["kernel"], ["row"]). *)
+
 val guard : baseline:string -> current:string -> (unit, string list) result
 (** Both arguments are JSON document texts.  [Error] lists one line per
     drifted kernel/field (typed [K709] by the CLI). *)

@@ -1,15 +1,12 @@
 module Diag = Inl_diag.Diag
 module Faults = Inl_diag.Faults
 module Snapshot = Inl_serve.Snapshot
+module Job = Inl_search.Job
 
 type entry = {
   name : string;
   path : string;
-  size : int option;
-  seed : int option;
-  beam : int option;
-  depth : int option;
-  finalists : int option;
+  search : Job.overrides;
   timeout_ms : int option;
   budget : int option;
   faults : string option;
@@ -50,11 +47,7 @@ let parse_entry ~dir ~lineno rest =
             {
               name;
               path = (if Filename.is_relative path then Filename.concat dir path else path);
-              size = None;
-              seed = None;
-              beam = None;
-              depth = None;
-              finalists = None;
+              search = Job.no_overrides;
               timeout_ms = None;
               budget = None;
               faults = None;
@@ -73,21 +66,18 @@ let parse_entry ~dir ~lineno rest =
           | Some i -> (
               let key = String.sub kv 0 i in
               let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-              match key with
-              | "size" -> set_int key v ~min:1 (fun e n -> { e with size = Some n })
-              | "seed" -> set_int key v ~min:0 (fun e n -> { e with seed = Some n })
-              | "beam" -> set_int key v ~min:1 (fun e n -> { e with beam = Some n })
-              | "depth" -> set_int key v ~min:0 (fun e n -> { e with depth = Some n })
-              | "finalists" -> set_int key v ~min:1 (fun e n -> { e with finalists = Some n })
-              | "timeout_ms" -> set_int key v ~min:0 (fun e n -> { e with timeout_ms = Some n })
-              | "budget" -> set_int key v ~min:1 (fun e n -> { e with budget = Some n })
-              | "run" -> set_int key v ~min:1 (fun e n -> { e with run = Some n })
-              | "threads" -> set_int key v ~min:1 (fun e n -> { e with threads = Some n })
-              | "faults" -> (
+              match (key, Job.field key) with
+              | _, Some (min, set) ->
+                  set_int key v ~min (fun e n -> { e with search = set e.search n })
+              | "timeout_ms", _ -> set_int key v ~min:0 (fun e n -> { e with timeout_ms = Some n })
+              | "budget", _ -> set_int key v ~min:1 (fun e n -> { e with budget = Some n })
+              | "run", _ -> set_int key v ~min:1 (fun e n -> { e with run = Some n })
+              | "threads", _ -> set_int key v ~min:1 (fun e n -> { e with threads = Some n })
+              | "faults", _ -> (
                   match Faults.parse v with
                   | Ok _ -> Ok (entry := { !entry with faults = Some v })
                   | Error m -> Error (err lineno "faults=%s: %s" v m))
-              | _ -> Error (err lineno "unknown key %S" key))
+              | _, None -> Error (err lineno "unknown key %S" key))
         in
         let rec go = function
           | [] -> Ok !entry

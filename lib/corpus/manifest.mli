@@ -29,11 +29,7 @@
 type entry = {
   name : string;  (** unique, [A-Za-z0-9_.-]+; keys records and findings *)
   path : string;  (** absolute, resolved against the manifest directory *)
-  size : int option;
-  seed : int option;
-  beam : int option;
-  depth : int option;
-  finalists : int option;
+  search : Inl_search.Job.overrides;  (** [size], [seed], [beam], [depth], [finalists] *)
   timeout_ms : int option;
   budget : int option;
   faults : string option;  (** validated spec text *)

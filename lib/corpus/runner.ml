@@ -8,6 +8,7 @@ module Memo = Inl_diag.Memo
 module Omega = Inl_presburger.Omega
 module Pool = Inl_parallel.Pool
 module Search = Inl_search.Search
+module Job = Inl_search.Job
 module Snapshot = Inl_serve.Snapshot
 module Fcorpus = Inl_fuzz.Corpus
 module Oracle = Inl_fuzz.Oracle
@@ -118,7 +119,7 @@ let load_checkpoint cfg =
 (* ---- per-kernel execution ---- *)
 
 type attempt_result =
-  | Ran of Search.outcome
+  | Ran of Job.optimized
   | Unreadable of string
   | Unparsable of Diag.t list
 
@@ -176,19 +177,7 @@ let run_kernel cfg (e : Manifest.entry) : Record.t =
     | src -> (
         match Inl.analyze_source_result src with
         | Error ds -> Unparsable ds
-        | Ok ctx ->
-            let sc = Search.config_for ctx in
-            let sc =
-              {
-                sc with
-                Search.beam = Option.value e.Manifest.beam ~default:sc.Search.beam;
-                depth = Option.value e.Manifest.depth ~default:sc.Search.depth;
-                finalists = Option.value e.Manifest.finalists ~default:sc.Search.finalists;
-                size = Option.value e.Manifest.size ~default:sc.Search.size;
-                seed = Option.value e.Manifest.seed ~default:sc.Search.seed;
-              }
-            in
-            Ran (Search.optimize ~config:sc ctx))
+        | Ok ctx -> Ran (Job.optimize ~base:(Search.config_for ctx) e.Manifest.search ctx))
   in
   let blank =
     {
@@ -267,20 +256,15 @@ let run_kernel cfg (e : Manifest.entry) : Record.t =
                 sorted_codes (extra_codes @ List.map (fun (d : Diag.t) -> d.Diag.code) ds);
               wall_ms;
             }
-        | Ran (o : Search.outcome) ->
-            let codes =
-              extra_codes @ List.map (fun (d : Diag.t) -> d.Diag.code) o.Search.diags
-            in
-            let errors = Diag.has_errors o.Search.diags in
+        | Ran { Job.outcome = o; diags } ->
+            let codes = extra_codes @ List.map (fun (d : Diag.t) -> d.Diag.code) diags in
             let status =
-              if errors || o.Search.winner = None then Record.Failed
+              if Diag.has_errors diags || o.Search.winner = None then Record.Failed
               else if retried || codes <> [] then Record.Degraded
               else Record.Clean
             in
             let detail =
-              match
-                List.find_opt (fun (d : Diag.t) -> d.Diag.severity = Diag.Error) o.Search.diags
-              with
+              match List.find_opt (fun (d : Diag.t) -> d.Diag.severity = Diag.Error) diags with
               | Some d -> Diag.to_string d
               | None -> ""
             in

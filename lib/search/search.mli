@@ -63,8 +63,10 @@ val config_for : ?base:config -> Inl.context -> config
     programs with at least 8 layout columns (loops + statements) get
     [beam = 12] and [depth = 4] — incremental evaluation made candidates
     cheap enough to spend the reclaimed time on coverage where the
-    search space is big enough to need it.  The CLI uses this when
-    [--beam]/[--depth] are not given explicitly. *)
+    search space is big enough to need it.  [inltool optimize] and the
+    corpus runner pass this as the {!Job.optimize} base (explicit
+    [--beam]/[--depth] or manifest keys override it); serve passes
+    {!default_config} instead. *)
 
 type entry = {
   rank : int;  (** 1-based, in final ranking order *)

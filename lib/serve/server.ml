@@ -39,6 +39,7 @@ module Memo = Inl_diag.Memo
 module Pool = Inl_parallel.Pool
 module Verify = Inl_verify.Verify
 module Search = Inl_search.Search
+module Job = Inl_search.Job
 module Driver = Inl_fuzz.Driver
 module Corpus = Inl_fuzz.Corpus
 module Tf = Inl_fuzz.Tf
@@ -257,41 +258,25 @@ let handle_verify req : hresult =
   match require_program req with
   | Error ds -> (Json.Null, ds)
   | Ok src -> (
-      let parse what s =
-        match Inl.Parser.parse s with
-        | Ok prog -> Ok prog
-        | Error msg ->
-            Error [ Diag.errorf ~code:"P101" ~phase:Diag.Parse "%s: %s" what msg ]
+      let against =
+        match Json.string_field "against" req with
+        | None -> Ok None
+        | Some s -> Result.map Option.some (Job.parse ~what:"against" s)
       in
-      match parse "program" src with
-      | Error ds -> (Json.Null, ds)
-      | Ok prog -> (
-          let against =
-            match Json.string_field "against" req with
-            | None -> Ok None
-            | Some s -> (
-                match parse "against" s with Ok p -> Ok (Some p) | Error ds -> Error ds)
-          in
-          match against with
-          | Error ds -> (Json.Null, ds)
-          | Ok against ->
-              let report = Verify.run ?against prog in
-              let ds = Verify.diags report in
-              let verdict =
-                if Diag.has_errors ds then "failed"
-                else if Diag.has_warnings ds then "incomplete"
-                else "verified"
-              in
-              ( Json.Obj
-                  [
-                    ("verdict", Json.String verdict);
-                    ( "loops",
-                      Json.List
-                        (List.map
-                           (fun l -> Json.String l)
-                           (Verify.loop_summary report.Verify.loops)) );
-                  ],
-                ds )))
+      match (Job.parse ~what:"program" src, against) with
+      | Error ds, _ | _, Error ds -> (Json.Null, ds)
+      | Ok prog, Ok against ->
+          let c = Job.verify ?against prog in
+          ( Json.Obj
+              [
+                ("verdict", Json.String (Job.verdict_name c.Job.verdict));
+                ( "loops",
+                  Json.List
+                    (List.map
+                       (fun l -> Json.String l)
+                       (Verify.loop_summary c.Job.report.Verify.loops)) );
+              ],
+            c.Job.diags ))
 
 let handle_optimize req : hresult =
   match require_program req with
@@ -299,23 +284,23 @@ let handle_optimize req : hresult =
   | Ok src -> (
       match Inl.analyze_source_result src with
       | Error ds -> (Json.Null, ds)
-      | Ok ctx ->
-          let d = Search.default_config in
-          let field name v = Option.value (Json.int_field name req) ~default:v in
-          let config =
-            {
-              d with
-              Search.beam = field "beam" d.Search.beam;
-              depth = field "depth" d.Search.depth;
-              finalists = field "finalists" d.Search.finalists;
-              size = field "size" d.Search.size;
-              seed = field "seed" d.Search.seed;
-            }
+      | Ok ctx -> (
+          let int name = Json.int_field name req in
+          (* the default, unwidened base: widening doubles the candidates
+             on the bigger kernels, which would move request latency *)
+          let { Job.outcome = o; diags } =
+            Job.optimize ~base:Search.default_config
+              {
+                Job.beam = int "beam";
+                depth = int "depth";
+                finalists = int "finalists";
+                size = int "size";
+                seed = int "seed";
+              }
+              ctx
           in
-          let o = Search.optimize ~config ctx in
-          let diags = ctx.Inl.diags @ o.Search.diags in
           let opt f = function Some v -> f v | None -> Json.Null in
-          (match o.Search.winner with
+          match o.Search.winner with
           | None -> (Json.Null, diags)
           | Some w ->
               ( Json.Obj

@@ -17,6 +17,7 @@ module Manifest = Inl_corpus.Manifest
 module Record = Inl_corpus.Record
 module Bench = Inl_corpus.Bench
 module Runner = Inl_corpus.Runner
+module Job = Inl_search.Job
 
 let null_out = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
 
@@ -66,8 +67,8 @@ let test_manifest_ok () =
           let b = List.nth m.Manifest.entries 1 in
           Alcotest.(check string) "relative path resolved" (Filename.concat dir "sub/y.loop")
             b.Manifest.path;
-          Alcotest.(check (option int)) "seed" (Some 7) b.Manifest.seed;
-          Alcotest.(check (option int)) "beam" (Some 3) b.Manifest.beam;
+          Alcotest.(check (option int)) "seed" (Some 7) b.Manifest.search.Job.seed;
+          Alcotest.(check (option int)) "beam" (Some 3) b.Manifest.search.Job.beam;
           Alcotest.(check (option int)) "timeout may be zero" (Some 0) b.Manifest.timeout_ms;
           Alcotest.(check (option string)) "faults" (Some "every=2") b.Manifest.faults;
           Alcotest.(check (option int)) "run" (Some 4) b.Manifest.run;
@@ -217,7 +218,7 @@ let test_guard_catches_drift () =
 
 let tiny_kernel = "params N\ndo I = 1..N\n  S1: A(I) = A(I) + 1\nenddo\n"
 
-let with_runner_setup f =
+let with_runner_setup ?(keys = "size=8 depth=1 finalists=1") f =
   let dir = tmpdir () in
   Fun.protect
     ~finally:(fun () ->
@@ -232,7 +233,7 @@ let with_runner_setup f =
     (fun () ->
       write (Filename.concat dir "k.loop") tiny_kernel;
       let mpath = Filename.concat dir "m.manifest" in
-      write mpath "kernel k k.loop size=8 depth=1 finalists=1\n";
+      write mpath ("kernel k k.loop " ^ keys ^ "\n");
       let manifest = Result.get_ok (Manifest.load mpath) in
       let state = Filename.concat dir "state" in
       let config =
@@ -291,6 +292,19 @@ let test_runner_checkpoint_is_a_snapshot () =
       | Ok None -> Alcotest.fail "checkpoint missing"
       | Error m -> Alcotest.failf "checkpoint unreadable: %s" m)
 
+(* A kernel whose analysis degrades under its budget is recorded with
+   the analysis warnings, not only the search's. *)
+let test_runner_records_analysis_degradation () =
+  with_runner_setup ~keys:"size=8 depth=1 finalists=1 budget=1" (fun config _state ->
+      match (run_ok config).Runner.records with
+      | [ r ] ->
+          Alcotest.(check bool)
+            (Printf.sprintf "A201 among %S" r.Record.degradations)
+            true
+            (List.mem "A201" (String.split_on_char ',' r.Record.degradations));
+          Alcotest.(check string) "status" "degraded" (Record.status_to_string r.Record.status)
+      | rs -> Alcotest.failf "%d records" (List.length rs))
+
 let () =
   Alcotest.run "corpus"
     [
@@ -318,5 +332,7 @@ let () =
           Alcotest.test_case "corrupt checkpoint cold-starts" `Quick
             test_runner_cold_starts_on_corrupt_checkpoint;
           Alcotest.test_case "checkpoint is a snapshot" `Quick test_runner_checkpoint_is_a_snapshot;
+          Alcotest.test_case "analysis degradation recorded" `Quick
+            test_runner_records_analysis_degradation;
         ] );
     ]

@@ -1,11 +1,13 @@
 (* Unit and property tests for the transformation autotuner: the move
    enumerator's contract, the static cost tier, end-to-end search on the
    paper's Cholesky kernel, byte-level determinism across worker counts,
-   and a QCheck property over fuzz-generated programs — every emitted
+   a QCheck property over fuzz-generated programs — every emitted
    winner must be legal, pass translation validation, and be
-   interpreter-equivalent to its source. *)
+   interpreter-equivalent to its source — and the pipeline driver's
+   configuration, verdict and diagnostics-order decisions. *)
 
 module Search = Inl_search.Search
+module Job = Inl_search.Job
 module Moves = Inl_search.Moves
 module Reuse = Inl_reuse.Reuse
 module Tf = Inl_fuzz.Tf
@@ -308,6 +310,67 @@ let winner_property =
        QCheck2.Gen.(pair (int_bound 4) (int_bound 23))
        winner_prop)
 
+(* ---- the pipeline driver ---- *)
+
+let with_budget fm_work f =
+  let saved = Inl.Omega.get_default_budget () in
+  Inl.Omega.set_default_budget (Inl_diag.Budget.with_fm_work Inl_diag.Budget.default fm_work);
+  Fun.protect ~finally:(fun () -> Inl.Omega.set_default_budget saved) f
+
+let codes ds = List.map (fun (d : Diag.t) -> d.Diag.code) ds
+
+let replace_once ~sub ~by s =
+  let n = String.length sub in
+  let rec find i = if String.sub s i n = sub then i else find (i + 1) in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
+let test_job_overrides () =
+  let c = Job.config ~base:tiny { Job.no_overrides with Job.beam = Some 2; seed = Some 5 } in
+  Alcotest.(check (list int)) "overrides win, the rest is the base"
+    [ 2; tiny.Search.depth; tiny.Search.finalists; tiny.Search.size; 5 ]
+    [ c.Search.beam; c.Search.depth; c.Search.finalists; c.Search.size; c.Search.seed ];
+  Alcotest.(check (list (option int))) "minimums"
+    [ Some 1; Some 0; Some 1; Some 1; Some 0; None ]
+    (List.map
+       (fun k -> Option.map fst (Job.field k))
+       [ "beam"; "depth"; "finalists"; "size"; "seed"; "budget" ])
+
+let test_job_verdicts () =
+  let ctx = Inl.analyze (parse Px.cholesky_kji) in
+  let r = Job.optimize ~base:tiny Job.no_overrides ctx in
+  let prog =
+    match r.Job.outcome.Search.winner with
+    | Some { Search.program = Some p; _ } -> p
+    | _ -> Alcotest.fail "no winner"
+  in
+  let expect what name code (c : Job.checked) =
+    Alcotest.(check string) what name (Job.verdict_name c.Job.verdict);
+    Alcotest.(check int) (what ^ ": exit code") code (Job.verdict_code c.Job.verdict)
+  in
+  expect "winner" "verified" 0 (Job.verify ~against:ctx.Inl.program prog);
+  let degraded = with_budget 10 (fun () -> Job.verify ~against:ctx.Inl.program prog) in
+  expect "budget-degraded check" "incomplete" 2 degraded;
+  Alcotest.(check bool) "degraded by V900" true (List.mem "V900" (codes degraded.Job.diags));
+  (* the S2 loop starts one iteration late: dropped source instances *)
+  let mutant = parse (replace_once ~sub:"K+1..N" ~by:"K+2..N" Px.cholesky_kji) in
+  let failed = Job.verify ~against:ctx.Inl.program mutant in
+  expect "mutant" "failed" 1 failed;
+  Alcotest.(check bool) "dropped iterations (V101)" true (List.mem "V101" (codes failed.Job.diags));
+  Alcotest.(check (option string)) "no verdict line" None (Job.verdict_line failed.Job.verdict)
+
+let test_job_merges_analysis_first () =
+  with_budget 10 (fun () ->
+      let ctx = Inl.analyze (parse Px.cholesky_kji) in
+      let r = Job.optimize ~base:tiny Job.no_overrides ctx in
+      Alcotest.(check bool) "analysis degraded" true (ctx.Inl.diags <> []);
+      Alcotest.(check bool) "search reported" true (r.Job.outcome.Search.diags <> []);
+      Alcotest.(check (list string)) "analysis, then search"
+        (codes ctx.Inl.diags @ codes r.Job.outcome.Search.diags)
+        (codes r.Job.diags);
+      Alcotest.(check string) "first is the analysis warning" "A201"
+        (List.hd (codes r.Job.diags)))
+
 let () =
   Alcotest.run "search"
     [
@@ -325,6 +388,12 @@ let () =
             test_optimize_deterministic_across_jobs;
           Alcotest.test_case "--no-cache bypasses the memos" `Quick test_no_cache_bypasses_memos;
           Alcotest.test_case "clear_all starts every memo cold" `Quick test_clear_all_is_cold;
+        ] );
+      ( "driver",
+        [
+          Alcotest.test_case "overrides over the base" `Quick test_job_overrides;
+          Alcotest.test_case "verdicts" `Quick test_job_verdicts;
+          Alcotest.test_case "analysis diagnostics first" `Quick test_job_merges_analysis_first;
         ] );
       ("property", [ delta_property; winner_property ]);
     ]
