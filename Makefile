@@ -2,7 +2,7 @@
 # full build, test suite, and static verification of the example
 # kernels (examples/kernels/dune).
 
-.PHONY: all build test check fuzz-smoke serve-smoke search-smoke reuse-smoke bench-json perf-guard corpus-smoke corpus-bench corpus-guard exec-smoke exec-bench exec-guard clean
+.PHONY: all build test check fuzz-smoke serve-smoke reuse-smoke bench bench-smoke bench-guard corpus-smoke corpus-bench corpus-guard clean
 
 all: build
 
@@ -35,13 +35,6 @@ serve-smoke:
 	dune build bin/inltool.exe
 	sh test/serve_smoke.sh ./_build/default/bin/inltool.exe
 
-# Autotuner smoke run (the same tiny fixed-seed search the dune runtest
-# rule and the test/search.t cram test pin down): exits nonzero if the
-# winner recipe drifts or jobs=1 and jobs=2 outputs differ by a byte.
-search-smoke:
-	dune build bench/bench_search.exe
-	./_build/default/bench/bench_search.exe --smoke --jobs 2
-
 # Static reuse-analysis smoke (the same drill the dune runtest rule
 # runs): `inltool analyze --reuse` on the paper's kji Cholesky must
 # report the pinned findings (U101/U102), scores, and typed degradation
@@ -50,53 +43,31 @@ reuse-smoke:
 	dune build bin/inltool.exe
 	sh test/reuse_smoke.sh ./_build/default/bin/inltool.exe
 
-# Solver-core benchmark: full-Cholesky analyze + legality + completion +
-# codegen + verify under (cache off/on) x (jobs 1/4); writes
-# BENCH_solver.json with per-config wall time, solver calls, cache hit
-# rate and the baseline-vs-best speedup.  Fails if any configuration's
-# rendered output differs by a byte from the sequential uncached run.
-# Then the autotuner benchmark: a default-budget `Search.optimize` on
-# kji Cholesky at jobs 1 vs 4; writes BENCH_search.json with wall time,
-# candidates/sec, the winner recipe and its simulated miss count.
-bench-json:
-	dune build bench/bench_solver.exe bench/bench_search.exe
-	./_build/default/bench/bench_solver.exe -o BENCH_solver.json
-	cat BENCH_solver.json
-	./_build/default/bench/bench_search.exe -o BENCH_search.json
-	cat BENCH_search.json
+# Layer benchmarks (bench/bench.ml): the solver core under memos
+# off/on x jobs 1/2, the autotuner on kji Cholesky at jobs 1/2 and six
+# executed (kernel, schedule) rows, each timed cold (memos cleared)
+# then warm.  Writes BENCH_layers.json, one inl-bench-v2 row per
+# configuration with the core count it was measured on.  Fails if
+# outputs differ across configurations or any execution diverges.
+bench:
+	dune build bench/bench.exe
+	./_build/default/bench/bench.exe -o BENCH_layers.json
+	cat BENCH_layers.json
 
-# Perf regression guard (also the opt-in `dune build @perf-guard`
-# alias): re-runs the default autotuner workload and exits nonzero if
-# candidates/sec drops below 50% of the committed BENCH_search.json, or
-# if the pinned winner recipe / simulated miss count changes.
-perf-guard:
-	dune build bench/bench_search.exe
-	./_build/default/bench/bench_search.exe --guard BENCH_search.json -o /dev/null
+# The same harness small, with timings masked (the dune runtest rule):
+# asserts byte-equal outputs, the pinned search winner and exec labels.
+bench-smoke:
+	dune build bench/bench.exe
+	./_build/default/bench/bench.exe --smoke --jobs 2
 
-# Execution-runtime smoke (the same drill the dune runtest rule runs):
-# every workload row's outcome label — plan and differential verdict,
-# never wall time — is pinned, with all timings masked in the report.
-exec-smoke:
-	dune build bench/bench_exec.exe
-	./_build/default/bench/bench_exec.exe --smoke --jobs 2
-
-# Regenerate BENCH_exec.json: real (domain-parallel) execution of the
-# workload kernels, sequential vs parallel wall clock min-of-N, with
-# the honest core count next to the requested worker count.  On a
-# single-core box the parallel rows are a determinism check, not a
-# speedup claim.
-exec-bench:
-	dune build bench/bench_exec.exe
-	./_build/default/bench/bench_exec.exe -o BENCH_exec.json
-	cat BENCH_exec.json
-
-# Execution drift guard (also the opt-in `dune build @exec-guard`
-# alias): re-runs the workload and exits nonzero if any row's outcome
-# label, plan or DOALL count drifts from the committed BENCH_exec.json;
-# wall-clock fields are never compared.
-exec-guard:
-	dune build bench/bench_exec.exe
-	./_build/default/bench/bench_exec.exe --guard BENCH_exec.json -o /dev/null
+# Layer guard (also the opt-in `dune build @bench-guard` alias, which
+# dune caches until the harness or the baseline changes): re-runs the
+# benchmarks and exits nonzero if any row's stable fields drift from
+# the committed BENCH_layers.json or its cold_ms exceeds 2x the
+# committed value.
+bench-guard:
+	dune build bench/bench.exe
+	./_build/default/bench/bench.exe --guard BENCH_layers.json -o /dev/null
 
 # Corpus-runner acceptance drill (the same one the dune runtest rule
 # runs): a 4-kernel mini-manifest with a poisoned kernel that must be

@@ -46,7 +46,12 @@ let field_repr k name =
   | None -> "<absent>"
   | Some v -> Json.to_string v
 
-let drift ~list ~key ~noun ~fields ~baseline ~current =
+let number = function
+  | Some (Json.Float f) -> Some f
+  | Some (Json.Int n) -> Some (float_of_int n)
+  | _ -> None
+
+let drift ~list ~key ~noun ~fields ~within ~baseline ~current =
   let rows doc =
     match Json.member list doc with
     | Some (Json.List rs) -> Ok (List.filter_map (fun r -> Option.map (fun k -> (k, r)) (key r)) rs)
@@ -71,7 +76,16 @@ let drift ~list ~key ~noun ~fields ~baseline ~current =
                     (fun f ->
                       let b = field_repr b f and c = field_repr c f in
                       if b <> c then note "%s %S: %s drifted: committed %s, got %s" noun k f b c)
-                    fields)
+                    fields;
+                  List.iter
+                    (fun (f, factor) ->
+                      match (number (Json.member f b), number (Json.member f c)) with
+                      | Some bv, Some cv when cv > factor *. bv ->
+                          note "%s %S: %s %g is more than %gx the committed %g" noun k f cv factor
+                            bv
+                      | Some _, Some _ -> ()
+                      | _ -> note "%s %S: %s is not a number in both reports" noun k f)
+                    within)
             bks;
           List.iter
             (fun (k, _) ->
@@ -82,3 +96,13 @@ let drift ~list ~key ~noun ~fields ~baseline ~current =
 
 let guard =
   drift ~list:"kernels" ~key:(Json.string_field "name") ~noun:"kernel" ~fields:stable_fields
+    ~within:[]
+
+let layer_guard ~baseline ~current =
+  let key r =
+    match List.map (fun f -> Json.string_field f r) [ "layer"; "workload"; "config" ] with
+    | [ Some l; Some w; Some c ] -> Some (String.concat "/" [ l; w; c ])
+    | _ -> None
+  in
+  drift ~list:"rows" ~key ~noun:"row" ~fields:[ "stable" ] ~within:[ ("cold_ms", 2.0) ]
+    ~baseline ~current

@@ -19,13 +19,22 @@ val render : manifest_fingerprint:string -> jobs:int -> timings:bool -> Record.t
 (** The full JSON document, trailing newline included. *)
 
 val drift :
-  list:string -> key:(Inl_serve.Json.t -> string option) -> noun:string -> fields:string list ->
-  baseline:string -> current:string -> (unit, string list) result
+  list:string -> key:(Inl_serve.Json.t -> string option) -> noun:string ->
+  fields:string list -> within:(string * float) list -> baseline:string -> current:string ->
+  (unit, string list) result
 (** The check behind every committed-report guard: rows of the JSON
     list [list] are matched by [key], and each of [fields] must have the
-    same JSON text in both documents.  [Error] names every missing,
-    extra or drifted row as [noun] (["kernel"], ["row"]). *)
+    same JSON text in both documents, and for each [(f, k)] of
+    [within] the row's number [f] must be at most [k] times its
+    committed value.  [Error] names every missing, extra or drifted row
+    as [noun] (["kernel"], ["row"]). *)
 
 val guard : baseline:string -> current:string -> (unit, string list) result
 (** Both arguments are JSON document texts.  [Error] lists one line per
     drifted kernel/field (typed [K709] by the CLI). *)
+
+val layer_guard : baseline:string -> current:string -> (unit, string list) result
+(** The [make bench-guard] gate over two [inl-bench-v2] reports
+    (BENCH_layers.json): rows are keyed by layer/workload/config, every
+    row's [stable] object must match exactly, and its [cold_ms] may be
+    at most 2x the committed value. *)

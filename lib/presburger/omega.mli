@@ -91,8 +91,8 @@ val clear_cache : unit -> unit
 
 val cache_snapshot : unit -> string
 (** {!Inl_diag.Memo.S.export} of the projection cache — the payload the
-    serve daemon checkpoints so the BENCH_solver 3x warm-cache win
-    survives a restart. *)
+    serve daemon checkpoints so the cache-on win that the solver rows
+    of BENCH_layers.json measure survives a restart. *)
 
 val cache_restore : string -> (int, string) result
 (** {!Inl_diag.Memo.S.import} into the projection cache; [Ok n] is the

@@ -278,8 +278,29 @@ let handle_verify req : hresult =
               ],
             c.Job.diags ))
 
+(* The CLI's and the manifest's minimums ([Job.field]): below them a
+   search answers nonsense (size 0 simulates no access and reports a
+   0-miss winner).  [beam] stays unchecked: a nonsense beam is the
+   daemon's worker-panic drill. *)
+let optimize_ranges req : (unit, Diag.t list) result =
+  match
+    List.find_map
+      (fun name ->
+        match (Json.int_field name req, Job.field name) with
+        | Some n, Some (least, _) when n < least -> Some (name, least, n)
+        | _ -> None)
+      [ "size"; "finalists"; "depth"; "seed" ]
+  with
+  | None -> Ok ()
+  | Some (name, least, n) ->
+      Error
+        [
+          Diag.errorf ~code:"R703" ~phase:Diag.Serve
+            "invalid request: %S must be at least %d (got %d)" name least n;
+        ]
+
 let handle_optimize req : hresult =
-  match require_program req with
+  match Result.bind (optimize_ranges req) (fun () -> require_program req) with
   | Error ds -> (Json.Null, ds)
   | Ok src -> (
       match Inl.analyze_source_result src with

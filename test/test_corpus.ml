@@ -6,7 +6,9 @@
      survives hostile string fields (the checkpoint payload is exactly
      these lines);
    - Bench: the drift guard catches every stable-field drift in both
-     directions and ignores wall-clock noise;
+     directions and ignores wall-clock noise; the layer guard over
+     inl-bench-v2 reports catches a drifted stable field and a cold
+     time past 2x;
    - Runner: checkpointing end to end on a real (tiny) kernel —
      resume skips completed records, a config mismatch is a typed K703
      refusal, a corrupt checkpoint is a typed K704 cold start. *)
@@ -214,6 +216,41 @@ let test_guard_catches_drift () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "unparsable baseline accepted"
 
+(* The layer guard of bench/bench.ml on a two-row inl-bench-v2 report:
+   stable fields exactly, cold_ms within 2x of the committed value. *)
+let layers ?(winner = "interchange J,I2") ?(cold_ms = 100.0) () =
+  let row config winner cold =
+    Inl_serve.Json.(
+      to_string
+        (Obj
+           [
+             ("layer", String "search");
+             ("workload", String "kji-cholesky");
+             ("config", String config);
+             ("cold_ms", Float cold);
+             ("warm_ms", Float 9.0);
+             ("stable", Obj [ ("winner", String winner); ("winner_misses", Int 275) ]);
+           ]))
+  in
+  Printf.sprintf "{\"schema\": \"inl-bench-v2\", \"rows\": [%s, %s]}"
+    (row "jobs1" "interchange J,I2" 100.0) (row "jobs2" winner cold_ms)
+
+let test_layer_guard () =
+  let baseline = layers () in
+  let verdict current = Bench.layer_guard ~baseline ~current in
+  let expect_drift what current needle =
+    match verdict current with
+    | Ok () -> Alcotest.failf "%s: not caught" what
+    | Error ds ->
+        if not (List.exists (contains ~needle) ds) then
+          Alcotest.failf "%s: messages %s lack %S" what (String.concat "; " ds) needle
+  in
+  expect_drift "search winner drift" (layers ~winner:"identity" ()) "stable drifted";
+  expect_drift "cold time 3x" (layers ~cold_ms:300.0 ()) "more than 2x the committed 100";
+  match verdict (layers ~cold_ms:150.0 ()) with
+  | Ok () -> ()
+  | Error ds -> Alcotest.failf "1.5x cold time rejected: %s" (String.concat "; " ds)
+
 (* ---- runner checkpointing on a real kernel ---- *)
 
 let tiny_kernel = "params N\ndo I = 1..N\n  S1: A(I) = A(I) + 1\nenddo\n"
@@ -324,6 +361,7 @@ let () =
         [
           Alcotest.test_case "match passes, wall_ms ignored" `Quick test_guard_passes_on_match;
           Alcotest.test_case "drift caught both ways" `Quick test_guard_catches_drift;
+          Alcotest.test_case "layer guard: stable fields, cold within 2x" `Quick test_layer_guard;
         ] );
       ( "runner",
         [
