@@ -111,8 +111,8 @@ let jobs_arg =
     & info [ "j"; "jobs" ] ~docv:"N" ~env
         ~doc:
           "Worker domains for the parallel analysis phases (default $(b,1): fully \
-           sequential).  With N > 1, dependence queries, per-dependence legality checks, \
-           completion-search structures and verification pairs fan out over N domains; \
+           sequential).  With N > 1, dependence queries, completion-search structures, \
+           search candidates and verification pairs fan out over N domains; \
            results are merged in deterministic order, so the output is byte-identical to a \
            sequential run.")
 
@@ -122,8 +122,8 @@ let no_cache_arg =
     & info [ "no-cache" ]
         ~doc:
           "Disable every process-wide memo: the Omega projection cache (memoized solver \
-           queries) and the legality, reuse, materialization, completion, signature and \
-           trace-tier memos.  Results are identical either way; this exists for benchmarking \
+           queries) and the reuse, materialization, completion, signature and trace-tier \
+           memos.  Results are identical either way; this exists for benchmarking \
            and debugging.")
 
 let stats_arg =

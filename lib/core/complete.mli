@@ -25,12 +25,6 @@ exception Cannot_complete of string
 val iheight : ivec -> int option
 (** First coordinate not definitely zero (the paper's [Height]). *)
 
-val apply_ivec : Mat.t -> ivec -> ivec
-(** Exact interval image of a box under an integer matrix. *)
-
-val certainly_lex_nonneg : ivec -> bool
-(** Every point of the box is lexicographically non-negative. *)
-
 val augment : Mat.t -> ivec list -> Vec.t list
 (** [augment t deps] returns the rows to append to [t] (in order), where
     [deps] are the unsatisfied self-dependence distances projected onto

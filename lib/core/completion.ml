@@ -1,4 +1,3 @@
-module Mpz = Inl_num.Mpz
 module Vec = Inl_linalg.Vec
 module Mat = Inl_linalg.Mat
 module Gauss = Inl_linalg.Gauss
@@ -147,32 +146,12 @@ let allowed_columns (layout : Layout.t) : (int, bool array) Hashtbl.t =
   walk prog.Ast.nest 0 (Array.make n false) [];
   table
 
-(* ---- pruning ---- *)
-
-type prune = Viol | Sat | Unknown
-
-(* Scan the assigned prefix of the transformed common-loop projection. *)
-let prefix_class (coords : Interval.t list) : prune =
-  let rec go = function
-    | [] -> Unknown
-    | x :: rest ->
-        if Interval.definitely_zero x then go rest
-        else if Interval.definitely_positive x then Sat
-        else if Interval.definitely_nonneg x then go rest
-        else Viol
-  in
-  go coords
-
 (* ---- the search ---- *)
 
 let complete ?(options = default_options) ?(goal = fun _ -> true) (layout : Layout.t)
     (deps : Dep.t list) ~(partial : Vec.t list) : Mat.t option =
   let n = Layout.size layout in
   let allowed_tbl = allowed_columns layout in
-  (* Per-dependence legality verdicts, shared across every candidate of
-     every structure: leaf checks on candidates that agree on the rows a
-     dependence reads become table lookups. *)
-  let lcache = Legality.make_cache () in
   let loop_cols =
     Array.to_list layout.Layout.positions
     |> List.mapi (fun i p -> (i, p))
@@ -240,11 +219,6 @@ let complete ?(options = default_options) ?(goal = fun _ -> true) (layout : Layo
                 (d, commons))
               deps
           in
-          let row_coord (row : Vec.t) (d : Dep.t) : Interval.t =
-            let acc = ref (Interval.point Mpz.zero) in
-            Array.iteri (fun j dj -> acc := Interval.add !acc (Interval.scale row.(j) dj)) d.Dep.vector;
-            !acc
-          in
           let todo =
             List.init n Fun.id |> List.filter (fun i -> (not fixed.(i)) && row_old_loop.(i) >= 0)
           in
@@ -253,7 +227,7 @@ let complete ?(options = default_options) ?(goal = fun _ -> true) (layout : Layo
             | [] ->
                 (* authoritative check *)
                 if Gauss.is_nonsingular m && goal m then
-                  match Legality.check ~cache:lcache layout m deps with
+                  match Legality.check layout m deps with
                   | Legality.Legal _ -> Some (Mat.copy m)
                   | Legality.Illegal _ -> None
                 else None
@@ -293,10 +267,12 @@ let complete ?(options = default_options) ?(goal = fun _ -> true) (layout : Layo
                                 (* only the contiguous assigned prefix of
                                    the common rows is meaningful *)
                                 let rec take_prefix = function
-                                  | p :: rest when fixed.(p) -> row_coord m.(p) d :: take_prefix rest
+                                  | p :: rest when fixed.(p) ->
+                                      Interval.dot m.(p) d.Dep.vector :: take_prefix rest
                                   | _ -> []
                                 in
-                                prefix_class (take_prefix commons) = Viol)
+                                Interval.lex_class (Array.of_list (take_prefix commons))
+                                = Interval.Violated)
                               dep_info
                           in
                           let result = if violated then None else assign rest in

@@ -43,7 +43,7 @@ val complete :
     {!Inl_parallel.Pool} is configured with more than one job the
     structures are explored concurrently and the first success in
     structure order is returned — the same matrix the sequential search
-    finds.  Leaf legality checks share a per-call {!Legality.cache}. *)
+    finds. *)
 
 val reorder_matrices : Layout.t -> Mat.t list
 (** All pure statement-reordering matrices of the program (the identity

@@ -81,7 +81,7 @@ let analyze_source_result ?padding (src : string) : (context, Diag.t list) resul
       | exception Invalid_argument msg -> Error [ Diag.error ~code:"Y102" ~phase:Diag.Layout msg ])
 
 let check (ctx : context) (m : Mat.t) : Legality.verdict =
-  Stats.timed "legality" (fun () -> Legality.check ~jobs:(Pool.jobs ()) ctx.layout m ctx.deps)
+  Stats.timed "legality" (fun () -> Legality.check ctx.layout m ctx.deps)
 
 (** Generate the transformed program for a legal matrix; [simplify]
     (default true) applies the cleanup pass of Section 5.5.  Errors are

@@ -22,9 +22,6 @@ type verdict =
   | Legal of { structure : Blockstruct.t; unsatisfied : Dep.t list }
   | Illegal of string
 
-val transformed_vector : Mat.t -> Dep.t -> Interval.t array
-(** [M . d] by exact interval arithmetic, indexed by new positions. *)
-
 val dep_id : Dep.t -> string
 (** Canonical exact rendering of one dependence (endpoints, array, kind,
     level, approximation flag, and the interval vector with exact
@@ -32,23 +29,12 @@ val dep_id : Dep.t -> string
     symbols).  Used as the dependence component of process-wide memo
     keys. *)
 
-type cache
-(** Memo of per-dependence verdicts, keyed on exactly what a verdict
-    reads: the dependence, the new positions of its common loops, the
-    matrix rows at those positions, and the transformed syntactic order
-    of its endpoints.  The completion search shares one across candidate
-    matrices (which differ in few rows), turning repeated leaf checks
-    into lookups.  Safe for concurrent use. *)
+val check : Layout.t -> Mat.t -> Dep.t list -> verdict
+(** The verdict of Definition 6, classifying dependences in order and
+    stopping at the first offender, whose message it reports.  The same
+    as {!check_env} on [make_env layout deps] with no parent. *)
 
-val make_cache : unit -> cache
-
-val check : ?jobs:int -> ?cache:cache -> Layout.t -> Mat.t -> Dep.t list -> verdict
-(** With [jobs > 1] the per-dependence classifications fan out over
-    {!Inl_parallel.Pool}; the verdict is schedule-independent (the first
-    offender in dependence order is reported, and the sequential path
-    stops classifying at it). *)
-
-val is_legal : ?jobs:int -> ?cache:cache -> Layout.t -> Mat.t -> Dep.t list -> bool
+val is_legal : Layout.t -> Mat.t -> Dep.t list -> bool
 
 (** {1 Incremental (delta) checking}
 
@@ -60,17 +46,17 @@ val is_legal : ?jobs:int -> ?cache:cache -> Layout.t -> Mat.t -> Dep.t list -> b
     when every common loop of a dependence sits at the same new position
     with the same row in both parent and child, and its endpoints keep
     the same transformed syntactic order, the child's verdict provably
-    equals the parent's and is inherited without re-deriving it.  Anything short of
-    that proof falls back to the full classification (per-search cache →
-    process-wide memo → interval arithmetic), so the delta never weakens
-    the check — it only skips recomputing verdicts whose inputs are
-    bit-identical. *)
+    equals the parent's and is inherited without re-deriving it.
+    Anything short of that proof falls back to the interval arithmetic,
+    so the delta never weakens the check — it only skips recomputing
+    verdicts whose inputs are bit-identical.  No verdict is memoized:
+    one classification is a few interval dot products, cheaper than a
+    table lookup keyed on its inputs. *)
 
 type env
 (** Per-(program, dependence-set) precomputation shared by every
-    candidate of a search: canonical dependence ids for the process-wide
-    memo, common old-loop positions and untransformed statement paths
-    per dependence. *)
+    candidate of a search: common old-loop positions and untransformed
+    statement paths per dependence. *)
 
 val make_env : Layout.t -> Dep.t list -> env
 
@@ -82,27 +68,25 @@ type summary
     per-dependence verdicts.  Produced only for [Legal] candidates
     (only those are ever extended). *)
 
-val check_env : ?cache:cache -> ?parent:summary -> env -> Mat.t -> verdict * summary option
-(** Like {!check} (sequential, first offender in dependence order), but
-    (i) consults the process-wide verdict memo behind the per-search
-    [cache], and (ii) given the [parent] summary, inherits every verdict
-    whose inputs are unchanged by the move. *)
-
-(** {1 Process-wide verdict memo}
-
-    A process-wide {!Inl_diag.Memo} table (["legality memo"]), keyed on
-    a canonical string of exactly what a verdict reads (dependence id,
-    common-loop rows outer-to-inner, transformed endpoint order).  It
-    survives across searches and passes, so a re-search of a known
-    program classifies dependences by lookup. *)
-
-val memo_stats : unit -> Inl_diag.Memo.stats
-(** Hits/misses/evictions/entries of the process-wide verdict memo. *)
-
-val clear_memo : unit -> unit
+val check_env : ?parent:summary -> env -> Mat.t -> verdict * summary option
+(** Like {!check} (first offender in dependence order), but given the
+    [parent] summary, inherits every verdict whose inputs are unchanged
+    by the move.  Its classifications count in {!delta_stats}; those of
+    {!check} do not. *)
 
 val delta_stats : unit -> int * int
 (** [(inherited, checked)] verdict counts over all {!check_env} calls
     since the last {!reset_delta_stats}. *)
 
 val reset_delta_stats : unit -> unit
+
+(** {1 Memo views}
+
+    Legality keeps no memo.  These views stay for callers that read
+    every memo by name. *)
+
+val memo_stats : unit -> Inl_diag.Memo.stats
+(** Always all zero. *)
+
+val clear_memo : unit -> unit
+(** A no-op. *)

@@ -6,14 +6,14 @@ let kernel_json (r : Record.t) =
   Printf.sprintf
     "    {\"name\": %s, \"status\": %s, \"signature\": %s, \"winner\": %s, \"source_misses\": \
      %d, \"winner_misses\": %d, \"accesses\": %d, \"candidates\": %d, \"delta_inherit_rate\": \
-     %.3f, \"legality_memo_hits\": %d, \"mat_memo_hits\": %d, \"retried\": %b, \
-     \"degradations\": %s, \"wall_ms\": %d, \"doall\": %d, \"exec\": %s}"
+     %.3f, \"mat_memo_hits\": %d, \"retried\": %b, \"degradations\": %s, \"wall_ms\": %d, \
+     \"doall\": %d, \"exec\": %s}"
     (jstr r.Record.name)
     (jstr (Record.status_to_string r.Record.status))
     (jstr r.Record.signature) (jstr r.Record.winner) r.Record.source_misses
     r.Record.winner_misses r.Record.accesses r.Record.candidates (Record.delta_inherit_rate r)
-    r.Record.legality_memo_hits r.Record.mat_memo_hits r.Record.retried
-    (jstr r.Record.degradations) r.Record.wall_ms r.Record.doall (jstr r.Record.exec)
+    r.Record.mat_memo_hits r.Record.retried (jstr r.Record.degradations) r.Record.wall_ms
+    r.Record.doall (jstr r.Record.exec)
 
 let render ~manifest_fingerprint ~jobs ~timings records =
   let count st = List.length (List.filter (fun r -> r.Record.status = st) records) in

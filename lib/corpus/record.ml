@@ -25,7 +25,6 @@ type t = {
   candidates : int;
   delta_inherited : int;
   delta_checked : int;
-  legality_memo_hits : int;
   mat_memo_hits : int;
   retried : bool;
   degradations : string;
@@ -77,7 +76,6 @@ let to_line r =
       string_of_int r.candidates;
       string_of_int r.delta_inherited;
       string_of_int r.delta_checked;
-      string_of_int r.legality_memo_hits;
       string_of_int r.mat_memo_hits;
       (if r.retried then "1" else "0");
       escape r.degradations;
@@ -100,7 +98,6 @@ let of_line line =
    candidates;
    delta_inherited;
    delta_checked;
-   legality_memo_hits;
    mat_memo_hits;
    retried;
    degradations;
@@ -123,7 +120,6 @@ let of_line line =
           let* candidates = int "candidates" candidates in
           let* delta_inherited = int "delta_inherited" delta_inherited in
           let* delta_checked = int "delta_checked" delta_checked in
-          let* legality_memo_hits = int "legality_memo_hits" legality_memo_hits in
           let* mat_memo_hits = int "mat_memo_hits" mat_memo_hits in
           let* wall_ms = int "wall_ms" wall_ms in
           let* doall = int "doall" doall in
@@ -146,7 +142,6 @@ let of_line line =
               candidates;
               delta_inherited;
               delta_checked;
-              legality_memo_hits;
               mat_memo_hits;
               retried;
               degradations = unescape degradations;

@@ -30,7 +30,6 @@ type t = {
   candidates : int;  (** search funnel: recipes generated *)
   delta_inherited : int;  (** legality verdicts inherited from the parent state *)
   delta_checked : int;  (** legality verdicts that had to be resolved *)
-  legality_memo_hits : int;
   mat_memo_hits : int;
   retried : bool;  (** the reduced-budget rung answered (K711) *)
   degradations : string;  (** comma-joined diag codes, deterministic order *)

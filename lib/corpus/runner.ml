@@ -32,8 +32,9 @@ type report = {
 
 let checkpoint_kind = "corpus-checkpoint"
 
-(* v2: records carry the winner's DOALL count and execution label *)
-let checkpoint_version = 2
+(* v2: records carry the winner's DOALL count and execution label;
+   v3: records drop the legality memo hit count *)
+let checkpoint_version = 3
 let checkpoint_path state_dir = Filename.concat state_dir "checkpoint"
 
 let read_file path =
@@ -192,7 +193,6 @@ let run_kernel cfg (e : Manifest.entry) : Record.t =
       candidates = 0;
       delta_inherited = 0;
       delta_checked = 0;
-      legality_memo_hits = 0;
       mat_memo_hits = 0;
       retried = false;
       degradations = "";
@@ -305,7 +305,6 @@ let run_kernel cfg (e : Manifest.entry) : Record.t =
               candidates = counter counters "search.generated";
               delta_inherited = counter counters "search.legality.delta-inherited";
               delta_checked = counter counters "search.legality.delta-checked";
-              legality_memo_hits = counter counters "search.legality.memo_hits";
               mat_memo_hits = counter counters "search.mat.memo_hits";
               retried;
               degradations = sorted_codes codes;

@@ -27,7 +27,7 @@
       so rerunning resumes.
 
     Determinism: each kernel starts from cold process-wide caches
-    (projection, legality, reuse, search memos — cleared per attempt),
+    (projection, reuse, search memos — cleared per attempt),
     so its record does not depend on batch order or on where a resumed
     run restarted; with [timings = false] the records, and therefore
     the rendered BENCH_corpus.json, are byte-identical between an

@@ -76,6 +76,24 @@ let scale k t =
   else if Mpz.is_positive k then { lo = bscale k t.lo; hi = bscale k t.hi }
   else { lo = bscale k t.hi; hi = bscale k t.lo }
 
+let dot (row : Mpz.t array) (v : t array) : t =
+  let acc = ref (point Mpz.zero) in
+  Array.iteri (fun j x -> acc := add !acc (scale row.(j) x)) v;
+  !acc
+
+type lex_class = Satisfied | Possibly_zero | Violated
+
+let lex_class (v : t array) : lex_class =
+  let n = Array.length v in
+  let rec go i =
+    if i >= n then Possibly_zero
+    else if definitely_zero v.(i) then go (i + 1)
+    else if definitely_positive v.(i) then Satisfied
+    else if definitely_nonneg v.(i) then go (i + 1)
+    else Violated
+  in
+  go 0
+
 let hull a b =
   if is_empty a then b
   else if is_empty b then a

@@ -43,6 +43,25 @@ val scale : Mpz.t -> t -> t
 (** Multiplication by an exact integer constant; scaling by zero yields
     the point interval [0]. *)
 
+val dot : Mpz.t array -> t array -> t
+(** [dot row v] is the exact interval [sum_j row.(j) * v.(j)] over the
+    coordinates of [v] (the image of the box [v] under one integer row);
+    [point 0] for an empty [v]. *)
+
+(** Lexicographic sign of a box (an interval vector), scanned
+    outer-to-inner: a coordinate that is definitely zero is skipped, a
+    definitely positive one settles the rest, one spanning [[0, hi]]
+    may be zero so the suffix must pass on its own, and one admitting
+    a negative value fails. *)
+type lex_class =
+  | Satisfied  (** every point is lexicographically positive *)
+  | Possibly_zero  (** every point is non-negative; the zero vector may occur *)
+  | Violated  (** some point may be lexicographically negative (or a coordinate is empty) *)
+
+val lex_class : t array -> lex_class
+(** [Possibly_zero] for the empty vector.  "Every point of [v] is
+    lexicographically non-negative" is [lex_class v <> Violated]. *)
+
 val hull : t -> t -> t
 val inter : t -> t -> t
 val equal : t -> t -> bool

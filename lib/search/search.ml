@@ -121,17 +121,16 @@ type eval = Emat_failed of string | Eillegal of string | Elegal of state
 let compare_static a b =
   match Float.compare a.s_score b.s_score with 0 -> compare a.s_key b.s_key | c -> c
 
-let evaluate (env : Inl.Legality.env) (lcache : Inl.Legality.cache) ~extendable ?parent
-    (recipe : Tf.t) ~(materialize : Tf.t -> (Mat.t, string) result)
+let evaluate (env : Inl.Legality.env) ~extendable ?parent (recipe : Tf.t)
+    ~(materialize : Tf.t -> (Mat.t, string) result)
     ~(signature : Inl.Blockstruct.t -> Mat.t -> Reuse.t) : eval =
   match materialize recipe with
   | Error msg -> Emat_failed msg
   | exception e -> Emat_failed (Printexc.to_string e)
   | Ok m -> (
       (* delta legality: verdicts whose inputs the move left untouched
-         are inherited from the parent; the rest re-classify through the
-         per-search cache and the process-wide verdict memo *)
-      match Inl.Legality.check_env ~cache:lcache ?parent env m with
+         are inherited from the parent; the rest are re-classified *)
+      match Inl.Legality.check_env ?parent env m with
       | Inl.Legality.Illegal reason, _ -> Eillegal reason
       | Inl.Legality.Legal { structure; unsatisfied }, summary ->
           (* the reuse signature is memoized process-wide on canonical
@@ -310,7 +309,6 @@ let optimize ?(config = default_config) (ctx : Inl.context) : outcome =
   Stats.timed "search" @@ fun () ->
   let diags = ref [] in
   let warn code fmt = Format.kasprintf (fun m -> diags := Diag.warning ~code ~phase:Diag.Search m :: !diags) fmt in
-  let lcache = Inl.Legality.make_cache () in
   let generated = ref 0
   and materialize_failed = ref 0
   and duplicate = ref 0
@@ -324,7 +322,6 @@ let optimize ?(config = default_config) (ctx : Inl.context) : outcome =
   and sim_shared = ref 0
   and sim_skipped = ref 0 in
   let memo_hits_before = (Reuse.memo_stats ()).Memo.hits in
-  let lmemo_hits_before = (Inl.Legality.memo_stats ()).Memo.hits in
   let mat_hits_before =
     (mat_cache_stats ()).Memo.hits + (completion_cache_stats ()).Memo.hits
   in
@@ -421,7 +418,7 @@ let optimize ?(config = default_config) (ctx : Inl.context) : outcome =
     collect
       (List.map
          (fun (recipe, extendable) ->
-           evaluate env lcache ~extendable recipe ~materialize ~signature)
+           evaluate env ~extendable recipe ~materialize ~signature)
          ((identity_recipe, true) :: List.map (fun r -> (r, false)) seed_recipes))
   in
   let beam = ref (List.to_seq (List.sort compare_static gen0) |> Seq.take config.beam |> List.of_seq) in
@@ -479,7 +476,7 @@ let optimize ?(config = default_config) (ctx : Inl.context) : outcome =
            (fun (parent, recipes) ->
              List.map
                (fun recipe ->
-                 evaluate env lcache ~extendable:true ?parent:parent.s_summary recipe
+                 evaluate env ~extendable:true ?parent:parent.s_summary recipe
                    ~materialize ~signature)
                recipes)
            expansions
@@ -668,8 +665,6 @@ let optimize ?(config = default_config) (ctx : Inl.context) : outcome =
   (let inh, chk = Inl.Legality.delta_stats () in
    Stats.count "search.legality.delta-inherited" (inh - delta_inherited_before);
    Stats.count "search.legality.delta-checked" (chk - delta_checked_before));
-  Stats.count "search.legality.memo_hits"
-    ((Inl.Legality.memo_stats ()).Memo.hits - lmemo_hits_before);
   Stats.count "search.mat.memo_hits"
     ((mat_cache_stats ()).Memo.hits + (completion_cache_stats ()).Memo.hits
    - mat_hits_before);

@@ -13,10 +13,9 @@
     composition step per candidate), and candidates are pruned by the
     exact legality test (Definition 6) run in delta mode
     ({!Inl.Legality.check_env}) — verdicts whose inputs the move left
-    unchanged are inherited from the parent state, the rest resolve
-    through a shared per-search {!Inl.Legality.cache} backed by the
-    process-wide verdict memo.  An illegal candidate is dropped and
-    never extended, cutting its whole subtree.
+    unchanged are inherited from the parent state, the rest are
+    re-classified.  An illegal candidate is dropped and never extended,
+    cutting its whole subtree.
 
     Survivors are ranked by the static tier
     ({!Inl_reuse.Reuse.weighted_score}, the depth-weighted

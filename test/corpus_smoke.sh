@@ -85,6 +85,13 @@ run_corpus_bg() { # $1 = state dir, $2 = output json, $3 = stdout, $4 = stderr
   (exec "$INLTOOL" corpus "$DIR/mini.manifest" --state "$1" --no-timings -o "$2" > "$3" 2> "$4") &
 }
 
+# Lines of $2 matching $1, or 0 while the backgrounded run has not yet
+# created $2 (grep -c then prints nothing, which `[` cannot compare).
+count_lines() { # $1 = pattern, $2 = file
+  n=$(grep -c "$1" "$2" 2> /dev/null)
+  echo "${n:-0}"
+}
+
 # ---- phase 1: reference run with a poisoned kernel ---------------------
 run_corpus "$DIR/s1" "$DIR/B1.json" > "$DIR/p1.out" 2> "$DIR/p1.err"
 code=$?
@@ -110,7 +117,7 @@ grep -q 'replay:' "$DIR/s1/finding-poisoned-timeout-detail.txt" \
 run_corpus_bg "$DIR/s2" "$DIR/B2.json" "$DIR/p2.out" "$DIR/p2.err"
 pid=$!
 tries=0
-while [ "$(grep -c '^corpus: trisolve:' "$DIR/p2.out" 2> /dev/null)" -lt 1 ]; do
+while [ "$(count_lines '^corpus: trisolve:' "$DIR/p2.out")" -lt 1 ]; do
   tries=$((tries + 1))
   [ $tries -gt 200 ] && fail "phase 2: first kernel never completed"
   sleep 0.01
@@ -138,7 +145,7 @@ cmp -s "$DIR/B1.json" "$DIR/B2.json" || fail "phase 2: resumed report differs fr
 run_corpus_bg "$DIR/s3" "$DIR/B3.json" "$DIR/p3.out" "$DIR/p3.err"
 pid=$!
 tries=0
-while [ "$(grep -c '^corpus: trisolve:' "$DIR/p3.out" 2> /dev/null)" -lt 1 ]; do
+while [ "$(count_lines '^corpus: trisolve:' "$DIR/p3.out")" -lt 1 ]; do
   tries=$((tries + 1))
   [ $tries -gt 200 ] && fail "phase 3: first kernel never completed"
   sleep 0.01

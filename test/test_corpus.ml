@@ -121,7 +121,6 @@ let sample_record =
     candidates = 215;
     delta_inherited = 10;
     delta_checked = 30;
-    legality_memo_hits = 5;
     mat_memo_hits = 2;
     retried = true;
     degradations = "K706,K711";

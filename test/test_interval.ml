@@ -47,6 +47,32 @@ let test_lattice () =
   Alcotest.(check bool) "disjoint inter empty" true
     (I.is_empty (I.inter (I.of_ints 0 1) (I.of_ints 3 4)))
 
+(* The one lexicographic box test shared by legality, completion
+   pruning and augmentation, on its edge boxes. *)
+let test_lex_class () =
+  let name = function
+    | I.Satisfied -> "Satisfied"
+    | I.Possibly_zero -> "Possibly_zero"
+    | I.Violated -> "Violated"
+  in
+  let lex = Alcotest.testable (fun fmt c -> Format.pp_print_string fmt (name c)) ( = ) in
+  let nonneg = I.make (Fin Mpz.zero) PosInf in
+  let check name want v = Alcotest.(check lex) name want (I.lex_class (Array.of_list v)) in
+  check "empty vector" I.Possibly_zero [];
+  check "point 0" I.Possibly_zero [ I.zero ];
+  check "[0,+inf)" I.Possibly_zero [ nonneg ];
+  check "[1,+inf)" I.Satisfied [ I.plus ];
+  check "[-1,1]" I.Violated [ I.of_ints (-1) 1 ];
+  check "top" I.Violated [ I.top ];
+  check "empty coordinate" I.Violated [ I.of_ints 3 2 ];
+  check "zero then positive" I.Satisfied [ I.zero; I.plus; I.top ];
+  check "positive settles the suffix" I.Satisfied [ I.plus; I.minus ];
+  check "[0,+inf) defers to the suffix" I.Violated [ nonneg; I.of_ints (-1) 1 ];
+  check "[0,+inf) then positive" I.Satisfied [ nonneg; I.plus ];
+  Alcotest.(check t) "dot of the empty vector" I.zero (I.dot [||] [||]);
+  Alcotest.(check t) "dot" (I.make (Fin (z 1)) PosInf)
+    (I.dot [| Mpz.one; Mpz.minus_one; Mpz.zero |] [| I.plus; I.zero; I.top |])
+
 (* soundness of the interval ops w.r.t. concrete points *)
 let gen_small_interval =
   let open QCheck2.Gen in
@@ -96,6 +122,7 @@ let () =
           Alcotest.test_case "predicates" `Quick test_predicates;
           Alcotest.test_case "arithmetic" `Quick test_arithmetic;
           Alcotest.test_case "lattice ops" `Quick test_lattice;
+          Alcotest.test_case "lexicographic box test" `Quick test_lex_class;
         ] );
       ("properties", props);
     ]

@@ -249,25 +249,6 @@ let test_jobs_byte_equal () =
   Pool.set_jobs 1;
   Alcotest.(check string) "jobs 1 = jobs 4" seq par
 
-let verdict_equal a b =
-  match (a, b) with
-  | Inl.Legality.Legal { unsatisfied = u1; _ }, Inl.Legality.Legal { unsatisfied = u2; _ } ->
-      List.length u1 = List.length u2 && List.for_all2 (fun x y -> Dep.compare x y = 0) u1 u2
-  | Inl.Legality.Illegal m1, Inl.Legality.Illegal m2 -> String.equal m1 m2
-  | _ -> false
-
-let test_legality_jobs_agree () =
-  let ctx = Inl.analyze_source Px.cholesky in
-  List.iter
-    (fun rows ->
-      let m = Mat.of_int_lists rows in
-      let v1 = Inl.Legality.check ctx.Inl.layout m ctx.Inl.deps in
-      let v4 = Inl.Legality.check ~jobs:4 ctx.Inl.layout m ctx.Inl.deps in
-      let vc = Inl.Legality.check ~cache:(Inl.Legality.make_cache ()) ctx.Inl.layout m ctx.Inl.deps in
-      Alcotest.(check bool) "jobs 1 = jobs 4" true (verdict_equal v1 v4);
-      Alcotest.(check bool) "uncached = cached" true (verdict_equal v1 vc))
-    [ Px.corrected_c_rows; Px.paper_c_printed_rows ]
-
 (* Regression: a watchdog deadline firing mid-[Pool.map] must cancel the
    remaining tasks at claim time and surface as this level's typed
    timeout, not run the whole batch to completion first.  Tasks here
@@ -331,8 +312,6 @@ let () =
         [
           Alcotest.test_case "cache on/off byte-equal" `Quick test_cache_on_off_byte_equal;
           Alcotest.test_case "jobs 1/4 byte-equal" `Quick test_jobs_byte_equal;
-          Alcotest.test_case "legality verdicts agree across configs" `Quick
-            test_legality_jobs_agree;
           Alcotest.test_case "dependences sorted" `Quick test_deps_sorted;
         ] );
       ( "shutdown",

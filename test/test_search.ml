@@ -264,8 +264,8 @@ let test_clear_all_is_cold () =
       let memos2, counters2 = run () in
       Alcotest.(check (list string)) "every memo registered"
         [
-          "completion memo"; "extents memo"; "legality memo"; "projection cache"; "reuse memo";
-          "signature memo"; "steps memo"; "trace memo";
+          "completion memo"; "extents memo"; "projection cache"; "reuse memo"; "signature memo";
+          "steps memo"; "trace memo";
         ]
         (List.sort compare (List.map fst memos1));
       Alcotest.(check bool) "the search used the memos" true
